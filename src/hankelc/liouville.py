@@ -77,31 +77,47 @@ def weak_spectral_check(
     near roundoff certify that multiplication by P annihilates the
     transform of f in the weak sense; order-one values refute it.
     """
-    mu = f.mu if mu is None else (mu if isinstance(mu, MuVector) else MuVector(mu))
-    if tuple(f.mu) != tuple(mu):
-        raise DomainError("order vector does not match the candidate's")
-    if P.dim != f.dim:
-        raise DimensionMismatch(f"operator dimension {P.dim}, candidate {f.dim}")
+    mu = f.mu if mu is None else mu
+    return _weak_residuals([f], P, mu, family, rule, z_max)[0]
+
+
+def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
+    """weak_spectral_check for every candidate in basis.
+
+    The family is the outer loop, so each transform of P[x^2] phi is
+    computed once and only one is held at a time.
+    """
+    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    n = mu.dim
+    for f in basis:
+        if tuple(f.mu) != tuple(mu):
+            raise DomainError("order vector does not match the candidate's")
+        if P.dim != f.dim:
+            raise DimensionMismatch(f"operator dimension {P.dim}, candidate {f.dim}")
     if family is None:
         family = default_weak_family(mu)
     if rule is None:
         rule = default_rule_for(0.5)
-    n = mu.dim
     grid = GridSpec([rule.nodes] * n)
-    fvals = sample_on_nodes(f, [rule.nodes] * n)
     weight = rule.weights
     for _ in range(n - 1):
         weight = np.multiply.outer(weight, rule.weights)
+    weighted = []
+    for f in basis:
+        fvals = sample_on_nodes(f, grid.axes)
+        weighted.append((weight * fvals, weight * np.abs(fvals)))
     mult = P.as_even_polynomial()
-    worst = 0.0
+    worst = [0.0] * len(basis)
     for phi in family:
         if tuple(phi.mu) != tuple(mu) or phi.dim != n:
             raise DomainError("family member does not match the order vector")
         g = SymbolicHFunction(mu, phi.poly * mult, phi.decay)
         gvals = hankel_nd(mu, g, grid, rule, z_max=z_max).values
-        numer = abs(float(np.sum(weight * fvals * gvals)))
-        denom = float(np.sum(weight * np.abs(fvals) * np.abs(gvals)))
-        worst = max(worst, numer / max(denom, _TINY))
+        gabs = np.abs(gvals)
+        for i, (wf, wabs) in enumerate(weighted):
+            numer = abs(float(np.sum(wf * gvals)))
+            denom = float(np.sum(wabs * gabs))
+            worst[i] = max(worst[i], numer / max(denom, _TINY))
     return worst
 
 
@@ -170,10 +186,7 @@ def liouville_solve(
     residuals = []
     if not skip_weak and basis:
         family = default_weak_family(mu, count=family_count, seed=seed)
-        if rule is None:
-            rule = default_rule_for(0.5)
-        for b in basis:
-            residuals.append(weak_spectral_check(b, P, mu, family=family, rule=rule))
+        residuals = _weak_residuals(basis, P, mu, family, rule)
     cert = KernelCertificate(
         dimension=len(basis),
         max_degree=max_degree,

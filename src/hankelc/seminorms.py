@@ -6,13 +6,15 @@ only numerical step is taking a supremum of a closed-form expression:
     gamma_{m,k} = sup (1+|x|^2)^m |T^k u|,
     lambda_{m,k} = sup (1+|x|^2)^m |u-part of S^k f|.
 
-Suprema are estimated on geometric tensor grids together with the exact
-x -> 0 limit (the constant term of the polynomial), followed by a
-parabolic polish around the grid argmax.
+Suprema are estimated on geometric tensor grids, followed by a parabolic
+polish around the grid argmax, on the open orthant and on each of its
+faces where some coordinates vanish, down to the exact x -> 0 limit (the
+constant term of the polynomial).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -117,8 +119,23 @@ def _weighted_sup(u: GaussianPolynomial, m: int, grid: GridSpec) -> float:
             ssum = ssum + c * c
         return (1.0 + ssum) ** m * u.evaluate(cols)
 
-    limit = abs(float(u.poly.constant_term()))
-    return max(limit, grid_supremum(fn, grid))
+    # the supremum over the open orthant is the maximum over its closure,
+    # and it can sit on a face where some coordinates vanish: search every
+    # face on the grid's own axes, down to the origin (the constant term)
+    n = grid.dim
+    best = abs(float(u.poly.constant_term()))
+    for r in range(1, n + 1):
+        for free in itertools.combinations(range(n), r):
+
+            def face(cols, free=free):
+                full = [0.0] * n
+                for a, c in zip(free, cols):
+                    full[a] = c
+                return fn(full)
+
+            sub = GridSpec([grid.axes[a] for a in free])
+            best = max(best, grid_supremum(face, sub))
+    return best
 
 
 def _validate(m: int, k, mu, f: SymbolicHFunction) -> MultiIndex:

@@ -14,6 +14,7 @@ float orders degrade gracefully to float coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,16 +53,44 @@ __all__ = [
 
 
 def _coeff(v):
-    """Coerce a coefficient: exact types become Fraction, floats stay."""
+    """Coerce a coefficient: exact types become Fraction, floats stay.
+
+    Booleans, non-finite floats and strings that are not a finite
+    rational (such as "1/0" or "abc") raise DomainError.
+    """
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, bool):
+        raise DomainError(f"coefficient must be a number, got {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            q = Fraction(v)
+            float(q)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"bad coefficient {v!r}: {exc}") from None
+        return q
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError(f"coefficient must be finite, got {v!r}")
         return v
     raise DomainError(f"unsupported coefficient type {type(v)!r}")
+
+
+def _terms_from_json(terms, key) -> dict:
+    """Coefficient map of JSON terms {"k": [...], key: value}; any other
+    term key and any repeated index raise DomainError."""
+    coeffs = {}
+    for t in terms:
+        extra = sorted(set(t) - {"k", key})
+        if extra:
+            raise DomainError(f"unknown term keys: {extra}")
+        k = MultiIndex(t["k"])
+        if k in coeffs:
+            raise DomainError(f"duplicate term {list(k)}")
+        coeffs[k] = t[key]
+    return coeffs
 
 
 def _coeff_to_json(v):
@@ -203,13 +232,7 @@ class EvenPolynomial:
 
     @classmethod
     def from_json_terms(cls, dim, terms, key="q") -> "EvenPolynomial":
-        coeffs = {}
-        for t in terms:
-            k = MultiIndex(t["k"])
-            if k in coeffs:
-                raise DomainError(f"duplicate term {list(k)}")
-            coeffs[k] = t[key]
-        return cls(dim, coeffs)
+        return cls(dim, _terms_from_json(terms, key))
 
     def __repr__(self):
         body = " + ".join(f"{v}*s^{tuple(k)}" for k, v in self.items()) or "0"
@@ -525,13 +548,7 @@ class OperatorPoly:
             if not terms:
                 raise DomainError("cannot infer dimension from empty terms")
             dim = len(terms[0]["k"])
-        coeffs = {}
-        for t in terms:
-            k = MultiIndex(t["k"])
-            if k in coeffs:
-                raise DomainError(f"duplicate term {list(k)}")
-            coeffs[k] = t["a"]
-        return cls(dim, coeffs)
+        return cls(dim, _terms_from_json(terms, "a"))
 
     def __repr__(self):
         body = " + ".join(f"{v}*x^{tuple(k)}" for k, v in self.items())
@@ -718,24 +735,20 @@ class HypothesisReport:
         return f"HypothesisReport(passed={self.passed}, reason={self.reason!r})"
 
 
-def _simplex_lattice(n: int, target: int):
-    """Rational lattice on the unit simplex with roughly `target` points."""
+def _simplex_lattice(n: int, target: int) -> np.ndarray:
+    """Lattice on the unit simplex with roughly `target` points, one per row.
+
+    The rows are the compositions of m into n parts (stars and bars: the
+    gaps between n-1 bars among m+n-1 slots), divided by m.
+    """
     if n == 1:
-        return [(Fraction(1),)]
+        return np.ones((1, 1))
     m = 1
     while math.comb(m + n - 1, n - 1) < target:
         m += 1
-    pts = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + (Fraction(remaining, m),))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (Fraction(v, m),), remaining - v, slots - 1)
-
-    rec((), m, n)
-    return pts
+    bars = np.array(list(itertools.combinations(range(m + n - 1), n - 1)))
+    parts = np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1
+    return parts / m
 
 
 def check_hypothesis(P: OperatorPoly, grid_points: int = 10000) -> HypothesisReport:
@@ -770,8 +783,7 @@ def check_hypothesis(P: OperatorPoly, grid_points: int = 10000) -> HypothesisRep
     # numerical double check on the simplex; same-sign coefficients mean a
     # float sum of the terms has no cancellation, so a zero there is exact
     pts = _simplex_lattice(P.dim, grid_points)
-    cols = [np.array([float(p[i]) for p in pts]) for i in range(P.dim)]
-    vals = np.abs(P.evaluate_plain(cols))
+    vals = np.abs(P.evaluate_plain(pts.T))
     grid_min = float(np.min(vals)) if len(pts) else math.inf
 
     passed = same_sign and orthant and (not same_sign or grid_min > 0.0)

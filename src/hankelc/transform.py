@@ -4,7 +4,8 @@ The n-dimensional kernel is a product of 1-D kernels, so the transform
 of a tensor-grid sample factorizes into n successive 1-D contractions;
 that is the default path.  A direct path assembles the full product
 kernel and is kept for cross-checking the factorized one on small
-problems.
+problems.  Family members x^(mu+1/2) Q(x^2) e^(-c|x|^2) are sums of
+products of 1-D factors, so they are sampled and transformed per axis.
 
 For outputs near zero the kernel is written as
 sqrt(xy) J_mu(xy) = x^(mu+1/2) y^(mu+1/2) * [z^(-mu) J_mu(z)]|_{z=xy},
@@ -15,6 +16,7 @@ reduced form so it can spline the first transform through the origin.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -59,13 +61,46 @@ def default_rule_for(decay, points_per_panel=None, panels=None) -> QuadratureRul
     return build_quadrature(truncation_radius(float(decay)), **kw)
 
 
+def _family_factors(f: SymbolicHFunction, axes):
+    """Split a family member into a coefficient tensor and axis factors.
+
+    Returns (C, V): C[k] is the float coefficient of s^k, shaped
+    (deg_1+1, ..., deg_n+1), and V[a][i, p] = x_i^(2p) x_i^(mu_a+1/2)
+    exp(-c x_i^2) on axes[a], so f = sum_k C[k] prod_a V[a][i_a, k_a].
+    """
+    if f.dim != len(axes):
+        raise DimensionMismatch(f"function dimension {f.dim}, grid {len(axes)}")
+    terms = f.poly.items()
+    shape = [1 + max((k[a] for k, _ in terms), default=0) for a in range(f.dim)]
+    coeffs = np.zeros(shape)
+    for k, v in terms:
+        coeffs[tuple(k)] = float(v)
+    decay = float(f.decay)
+    factors = []
+    for x, m, d in zip(axes, f.mu, shape):
+        s = x * x
+        base = x ** (float(m) + 0.5)
+        if decay:
+            base = base * np.exp(-decay * s)
+        factors.append(s[:, None] ** np.arange(d) * base[:, None])
+    return coeffs, factors
+
+
+def _contract(core, mats) -> np.ndarray:
+    """Apply mats[a] along axis a of core (out[..i..] = sum_j mats[a][i, j] core[..j..])."""
+    for a, m in enumerate(mats):
+        core = np.moveaxis(np.tensordot(m, core, axes=(1, a)), 0, a)
+    return core
+
+
 def sample_on_nodes(f, axes) -> np.ndarray:
     """Evaluate f on the tensor grid spanned by 1-D coordinate arrays.
 
     f may be a SymbolicHFunction, an ndarray of precomputed values, or a
-    callable taking n broadcastable coordinate arrays.
+    callable taking n broadcastable coordinate arrays.  Family members
+    are evaluated axis by axis, without forming the coordinate mesh.
     """
-    axes = [np.asarray(a, dtype=float) for a in axes]
+    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     shape = tuple(a.size for a in axes)
     if isinstance(f, np.ndarray):
         if f.shape != shape:
@@ -73,16 +108,13 @@ def sample_on_nodes(f, axes) -> np.ndarray:
                 f"precomputed values shape {f.shape}, grid {shape}"
             )
         return f
-    mesh = np.meshgrid(*axes, indexing="ij")
     if isinstance(f, SymbolicHFunction):
-        if f.dim != len(axes):
-            raise DimensionMismatch(f"function dimension {f.dim}, grid {len(axes)}")
-        vals = f.evaluate(mesh)
-    else:
-        try:
-            vals = np.asarray(f(*mesh), dtype=float)
-        except (TypeError, ValueError):
-            vals = np.vectorize(lambda *c: float(f(*c)))(*mesh)
+        return _contract(*_family_factors(f, axes))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    try:
+        vals = np.asarray(f(*mesh), dtype=float)
+    except (TypeError, ValueError):
+        vals = np.vectorize(lambda *c: float(f(*c)))(*mesh)
     vals = np.broadcast_to(np.asarray(vals, dtype=float), shape)
     return np.array(vals)
 
@@ -97,13 +129,15 @@ def _check_arguments(ys: np.ndarray, rule: QuadratureRule, z_max: float):
 
 
 # repeated transforms (weak checks, pairings) reuse identical kernel
-# matrices, so keep a small FIFO cache keyed by the exact inputs
+# matrices, so keep a small FIFO cache keyed by the exact inputs; the
+# verify thread pool shares it, and cached arrays are read-only
 _KERNEL_CACHE: dict = {}
 _KERNEL_CACHE_CAP = 32
+_KERNEL_LOCK = threading.Lock()
 
 
-def _cache_key(kind, alpha, ys, rule, z_max):
-    return (
+def _cached_kernel(kind, alpha, ys, rule, z_max, build) -> np.ndarray:
+    key = (
         kind,
         float(alpha),
         ys.tobytes(),
@@ -111,24 +145,29 @@ def _cache_key(kind, alpha, ys, rule, z_max):
         rule.weights.tobytes(),
         float(z_max),
     )
-
-
-def _cache_put(key, value):
-    if len(_KERNEL_CACHE) >= _KERNEL_CACHE_CAP:
-        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    _KERNEL_CACHE[key] = value
-    return value
+    with _KERNEL_LOCK:
+        hit = _KERNEL_CACHE.get(key)
+    if hit is not None:
+        return hit
+    value = build()
+    value.setflags(write=False)
+    with _KERNEL_LOCK:
+        if key not in _KERNEL_CACHE:
+            if len(_KERNEL_CACHE) >= _KERNEL_CACHE_CAP:
+                _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
+            _KERNEL_CACHE[key] = value
+        return _KERNEL_CACHE[key]
 
 
 def _kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
     """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i)."""
-    key = _cache_key("plain", alpha, ys, rule, z_max)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    z = np.outer(ys, rule.nodes)
-    k = np.sqrt(z) * bessel_j(alpha, z, z_max=z_max)
-    return _cache_put(key, k * rule.weights[None, :])
+
+    def build():
+        z = np.outer(ys, rule.nodes)
+        k = np.sqrt(z) * bessel_j(alpha, z, z_max=z_max)
+        return k * rule.weights[None, :]
+
+    return _cached_kernel("plain", alpha, ys, rule, z_max, build)
 
 
 def _reduced_kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
@@ -137,14 +176,14 @@ def _reduced_kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.
     K[i, j] = w_j x_j^(alpha+1/2) redJ_alpha(x_j y_i), so contracting a
     sample of f gives the transform divided by y^(alpha+1/2).
     """
-    key = _cache_key("reduced", alpha, ys, rule, z_max)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
     a = float(alpha)
-    z = np.outer(ys, rule.nodes)
-    k = rule.nodes[None, :] ** (a + 0.5) * reduced_bessel(a, z, z_max=z_max)
-    return _cache_put(key, k * rule.weights[None, :])
+
+    def build():
+        z = np.outer(ys, rule.nodes)
+        k = rule.nodes[None, :] ** (a + 0.5) * reduced_bessel(a, z, z_max=z_max)
+        return k * rule.weights[None, :]
+
+    return _cached_kernel("reduced", a, ys, rule, z_max, build)
 
 
 def hankel_1d(alpha, f, ys, rule: QuadratureRule, z_max: float = DEFAULT_Z_MAX) -> GridFunction:
@@ -170,9 +209,11 @@ def hankel_nd(
 ) -> GridFunction:
     """n-D Hankel transform of f sampled on the rule's tensor nodes.
 
-    direct=True sums the assembled product kernel instead of running the
-    axis-by-axis contractions; it is quadratic in memory and intended
-    only for small cross-check problems.
+    A family member is not sampled on the N^n node grid: each kernel
+    matrix transforms that axis's factors x^(2p+mu_a+1/2) e^(-c x^2),
+    and the coefficient tensor combines the results.  direct=True
+    samples f and sums the assembled product kernel instead; it is
+    quadratic in memory and intended only for small cross-check problems.
     """
     mu = mu if isinstance(mu, MuVector) else MuVector(mu)
     n = mu.dim
@@ -180,7 +221,15 @@ def hankel_nd(
         raise DimensionMismatch(f"order vector dimension {n}, grid {grid.dim}")
     for axis in grid.axes:
         _check_arguments(axis, rule, z_max)
-    vals = sample_on_nodes(f, [rule.nodes] * n)
+    nodes = [rule.nodes] * n
+    if isinstance(f, SymbolicHFunction) and not direct:
+        coeffs, factors = _family_factors(f, nodes)
+        mats = [
+            _kernel_matrix(float(mu[a]), grid.axes[a], rule, z_max) @ factors[a]
+            for a in range(n)
+        ]
+        return GridFunction(grid, _contract(coeffs, mats), mu)
+    vals = sample_on_nodes(f, nodes)
     kernels = [
         _kernel_matrix(float(mu[a]), grid.axes[a], rule, z_max) for a in range(n)
     ]
@@ -195,9 +244,7 @@ def hankel_nd(
                 )
         out = (big @ vals.ravel(order="C")).reshape(grid.shape)
         return GridFunction(grid, out, mu)
-    for a, k in enumerate(kernels):
-        vals = np.moveaxis(np.tensordot(k, vals, axes=(1, a)), 0, a)
-    return GridFunction(grid, vals, mu)
+    return GridFunction(grid, _contract(vals, kernels), mu)
 
 
 def orthant_pair(f, g, rule: QuadratureRule, dim: int = None, absolute: bool = False) -> float:
@@ -226,10 +273,10 @@ def _reduced_transform_values(mu, f, out_axes, rule, z_max) -> np.ndarray:
     """Transform divided by y^(mu+1/2), sampled on out_axes (0 allowed)."""
     n = mu.dim
     vals = sample_on_nodes(f, [rule.nodes] * n)
-    for a in range(n):
-        k = _reduced_kernel_matrix(float(mu[a]), out_axes[a], rule, z_max)
-        vals = np.moveaxis(np.tensordot(k, vals, axes=(1, a)), 0, a)
-    return vals
+    return _contract(
+        vals,
+        [_reduced_kernel_matrix(float(mu[a]), out_axes[a], rule, z_max) for a in range(n)],
+    )
 
 
 def hankel_roundtrip_residual(

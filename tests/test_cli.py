@@ -4,9 +4,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hankelc
 from hankelc.cli import main
 
 GAUSS_1D = {
@@ -301,6 +303,21 @@ def test_malformed_spec_shapes_exit_2(tmp_path, spec, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "term",
+    ['"q": "1/0"', '"q": "abc"', '"q": 1e400', '"q": true', '"q": 1, "junk": 3'],
+    ids=["zero-denominator", "not-a-number", "overflow", "bool", "unknown-term-key"],
+)
+def test_malformed_coefficient_exit_2(tmp_path, term, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [{"k": [0], %s}]}}' % term
+    )
+    assert main(["transform", "--spec", str(path), "--grid", "0.5:2:4"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "Traceback" not in err
+
+
 def test_power_without_denominator(tmp_path):
     spec = {
         "mu": ["1/2"],
@@ -325,10 +342,13 @@ def test_bad_grid_syntax(tmp_path):
 
 def test_module_entry_point(tmp_path):
     spec = _write_spec(tmp_path, GAUSS_1D)
+    # run from the directory that holds the package, so the child process
+    # imports it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "hankelc.cli", "taylor", "--spec", spec, "--order", "1"],
         capture_output=True,
         text=True,
+        cwd=Path(hankelc.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 1

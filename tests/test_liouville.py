@@ -8,9 +8,11 @@ from hankelc import (
     EvenPolynomial,
     HypothesisFailed,
     KernelCertificate,
+    LimitExceeded,
     MuVector,
     OperatorPoly,
     SymbolicHFunction,
+    default_rule_for,
     default_weak_family,
     liouville_solve,
     weak_spectral_check,
@@ -110,3 +112,21 @@ def test_skip_weak_and_json():
     assert data["exact_zero"] == [True]
     assert isinstance(cert, KernelCertificate)
     assert data["hypothesis"]["passed"] is True
+
+
+def test_solve_residuals_equal_per_candidate_checks():
+    P = _operator(2, {(1, 0): 1, (0, 1): 1})
+    mu = MuVector(["0", "3/2"])
+    basis, cert = liouville_solve(P, mu, 2)
+    family = default_weak_family(mu, count=10, seed=7)
+    rule = default_rule_for(Fraction(1, 2))
+    assert len(basis) == 3
+    assert cert.weak_residuals == [
+        weak_spectral_check(b, P, mu, family, rule) for b in basis
+    ]
+
+
+def test_3d_weak_check_hits_grid_cap():
+    P = _operator(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    with pytest.raises(LimitExceeded):
+        liouville_solve(P, ["1/2"] * 3, 1)

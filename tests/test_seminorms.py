@@ -134,3 +134,16 @@ def test_grid_supremum_2d():
 
     got = grid_supremum(fn, grid)
     assert got == pytest.approx(math.e, rel=1e-10)
+
+
+def test_gamma_finds_supremum_on_a_face():
+    # u = Q(s) e^{-(s1+s2)/2}; T_2 u on the face s1 = 0 is
+    # (s2^2/2 - 11 s2/4 - 5/2) e^{-s2/2}, and the weighted supremum lies on
+    # that face, above an interior local maximum about 6e-4 lower
+    terms = {(0, 0): 4, (0, 1): Fraction(3, 4), (0, 2): -HALF, (1, 1): Fraction(-1, 4)}
+    f = SymbolicHFunction(MuVector(["3/2", "0"]), EvenPolynomial(2, terms), HALF)
+    s2 = np.linspace(0.0, 10.0, 2_000_001)
+    face = (1 + s2) ** 2 * np.abs(s2 * s2 / 2 - 11 * s2 / 4 - 2.5) * np.exp(-s2 / 2)
+    want = float(face.max())
+    got = seminorm_gamma(2, (0, 1), ["3/2", "0"], f)
+    assert want * (1 - 1e-9) <= got <= want * (1 + 1e-9)

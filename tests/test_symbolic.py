@@ -29,6 +29,7 @@ from hankelc import (
     leibniz_Tk,
 )
 from hankelc.multiindex import mi_graded_enumerate
+from hankelc.symbolic import _simplex_lattice
 
 
 def _random_poly(rng, dim, degree, density=0.6):
@@ -311,6 +312,38 @@ def test_hypothesis_rejects(coeffs, dim):
     report = check_hypothesis(OperatorPoly(dim, coeffs))
     assert not report.passed
     assert report.reason
+
+
+def _fraction_lattice(n, target):
+    """Reference lattice: the compositions of m into n parts as Fractions,
+    in lexicographic order."""
+    if n == 1:
+        return [(Fraction(1),)]
+    m = 1
+    while math.comb(m + n - 1, n - 1) < target:
+        m += 1
+    pts = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            pts.append(prefix + (Fraction(remaining, m),))
+            return
+        for v in range(remaining + 1):
+            rec(prefix + (Fraction(v, m),), remaining - v, slots - 1)
+
+    rec((), m, n)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "n, target, count",
+    [(1, 10000, 1), (2, 10000, 10000), (3, 10000, 10011), (4, 500, 560)],
+)
+def test_simplex_lattice_matches_fraction_reference(n, target, count):
+    got = _simplex_lattice(n, target)
+    want = np.array([[float(c) for c in p] for p in _fraction_lattice(n, target)])
+    assert got.shape == (count, n)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_hypothesis_report_fields():

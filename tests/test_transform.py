@@ -1,6 +1,8 @@
 """Numerical transforms: fixed points, closed forms, adjointness, inversion."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from hankelc import (
     OperatorPoly,
     SymbolicHFunction,
     apply_S,
+    build_quadrature,
     default_rule_for,
     hankel_1d,
     hankel_nd,
@@ -22,6 +25,7 @@ from hankelc import (
     orthant_pair,
     sample_on_nodes,
 )
+from hankelc import transform as transform_module
 
 HALF = Fraction(1, 2)
 
@@ -168,3 +172,78 @@ def test_transform_l_is_multiplication():
     base = hankel_1d(0.5, phi, ys, rule).values
     rhs = (1 + 2 * ys * ys) * base
     assert float(np.max(np.abs(lhs - rhs))) < 1e-6
+
+
+def _sparse_member(dim, mu, decay):
+    """Q with degree gaps in every axis, mixed signs and a zero constant."""
+    terms = {(3,) + (0,) * (dim - 1): Fraction(2, 3), (1,) * dim: -1}
+    if dim > 1:
+        terms[(0,) * (dim - 1) + (2,)] = Fraction(5, 7)
+    return SymbolicHFunction([mu] * dim, EvenPolynomial(dim, terms), decay)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mu", ["-1/2", "15/2"])
+@pytest.mark.parametrize("decay", [0, 2])
+def test_separable_sampling_matches_mesh(dim, mu, decay):
+    f = _sparse_member(dim, mu, decay)
+    axes = [np.linspace(0.05, 2.5, 11 + 3 * a) for a in range(dim)]
+    got = sample_on_nodes(f, axes)
+    want = f.evaluate(np.meshgrid(*axes, indexing="ij"))
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-14 * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_symbolic_transform_matches_sampled_routes(dim):
+    f = _sparse_member(dim, "3/2", HALF)
+    mu = f.mu
+    rule = default_rule_for(HALF, points_per_panel=12, panels=8)
+    grid = GridSpec.linear(0.2, 3.0, 7, dim=dim)
+    got = hankel_nd(mu, f, grid, rule).values
+    direct = hankel_nd(mu, f, grid, rule, direct=True).values
+    sampled = hankel_nd(mu, lambda *c: f.evaluate(c), grid, rule).values
+    scale = float(np.max(np.abs(direct)))
+    assert float(np.max(np.abs(got - direct))) <= 1e-12 * scale
+    assert float(np.max(np.abs(got - sampled))) <= 1e-12 * scale
+
+
+def test_cached_kernels_are_read_only():
+    rule = default_rule_for(HALF)
+    ys = np.linspace(0.1, 4.0, 9) + 1e-3  # a grid no other test uses
+    for _ in range(2):  # a cache miss, then a hit
+        kernel = transform_module._kernel_matrix(0.5, ys, rule, 200.0)
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 1.0
+
+
+def test_kernel_cache_shared_by_two_threads():
+    # more distinct grids than the cache holds, so both threads evict
+    f = _gaussian(["1/2"])
+    rule = build_quadrature(8.0, points_per_panel=8, panels=4)
+    grids = [np.linspace(0.1, 2.0 + 0.01 * i, 5) for i in range(100)]
+    want = [hankel_1d(0.5, f, ys, rule).values for ys in grids]
+    errors, results = [], {}
+
+    def work(start):
+        try:
+            for i in range(start, len(grids), 2):
+                results[i] = hankel_1d(0.5, f, grids[i], rule).values
+        except Exception as exc:  # noqa: BLE001  (reported by the assertion)
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(transform_module._KERNEL_CACHE) <= transform_module._KERNEL_CACHE_CAP
+    for i, values in enumerate(want):
+        np.testing.assert_array_equal(results[i], values)
