@@ -30,7 +30,6 @@ from .multiindex import (
     mi_binomial,
     mi_factorial,
     mi_graded_enumerate,
-    mi_length,
     unit_index,
 )
 from .bessel import (

@@ -40,30 +40,45 @@ _SERIES_CUTOFF = 12.0
 _GAMMA_MAX = 171.5
 
 
+def _coeff(v):
+    """Coerce a coefficient: exact types become Fraction, floats stay.
+
+    Booleans, non-finite floats and strings that are not a finite
+    rational (such as "1/0" or "abc") raise DomainError.
+    """
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, bool):
+        raise DomainError(f"coefficient must be a number, got {v!r}")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, str):
+        try:
+            q = Fraction(v)
+            float(q)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"bad coefficient {v!r}: {exc}") from None
+        return q
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError(f"coefficient must be finite, got {v!r}")
+        return v
+    raise DomainError(f"unsupported coefficient type {type(v)!r}")
+
+
 class MuVector(tuple):
     """Vector of Bessel orders, one per axis, each >= -1/2.
 
-    Entries given as int, Fraction or "num/den" string are kept exact;
-    floats stay floats.  Exact entries let the symbolic layer produce
-    exact rational coefficients.
+    Entries are parsed like coefficients: int, Fraction or "num/den"
+    string are kept exact, finite floats stay floats, and booleans and
+    non-finite values are rejected.  Exact entries let the symbolic layer
+    produce exact rational coefficients.
     """
 
     def __new__(cls, entries):
         vals = []
         for i, v in enumerate(entries):
-            if isinstance(v, Fraction):
-                w = v
-            elif isinstance(v, int):
-                w = Fraction(v)
-            elif isinstance(v, str):
-                try:
-                    w = Fraction(v)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise DomainError(f"component {i}: bad rational {v!r}") from exc
-            elif isinstance(v, float):
-                w = v
-            else:
-                raise DomainError(f"component {i}: unsupported type {type(v)!r}")
+            w = _coeff(v)
             if w < Fraction(-1, 2):
                 raise DomainError(f"component {i}: order {w} < -1/2")
             vals.append(w)
@@ -132,11 +147,9 @@ def gamma_fn(x) -> float:
     )
 
 
-def _series_j(nu: float, z: np.ndarray) -> np.ndarray:
-    """Ascending series; intended for z <= 12."""
+def _series_sum(nu: float, z: np.ndarray) -> np.ndarray:
+    """Even entire factor sum_m (-z^2/4)^m / (m! (nu+1)_m); for z <= 12."""
     half = 0.5 * z
-    with np.errstate(divide="ignore"):
-        pref = half**nu / gamma_fn(nu + 1.0)
     ratio = -(half * half)
     term = np.ones_like(z)
     total = np.ones_like(z)
@@ -145,7 +158,14 @@ def _series_j(nu: float, z: np.ndarray) -> np.ndarray:
         total += term
         if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
             break
-    return pref * total
+    return total
+
+
+def _series_j(nu: float, z: np.ndarray) -> np.ndarray:
+    """Ascending series; intended for z <= 12."""
+    with np.errstate(divide="ignore"):
+        pref = (0.5 * z) ** nu / gamma_fn(nu + 1.0)
+    return pref * _series_sum(nu, z)
 
 
 def _asymptotic_j(nu: float, z: np.ndarray) -> np.ndarray:
@@ -217,24 +237,31 @@ def _asym_cutoff(nu: float) -> float:
     return max(30.0, 1.9 * nu * nu + 16.0)
 
 
-def bessel_j(nu, z, z_max: float = DEFAULT_Z_MAX):
-    """Bessel function of the first kind J_nu(z), real order nu >= -1/2.
-
-    z may be a scalar or a numpy array with entries in [0, z_max].
-    """
+def _checked_argument(nu, z, z_max: float):
+    """(float order, 1-D float array, scalar flag) after the domain checks."""
     nuf = float(nu)
     if nuf < -0.5:
         raise DomainError(f"order {nuf} < -1/2 not supported")
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    if arr.size:
+        lo, hi = float(arr.min()), float(arr.max())
+        if lo < 0.0:
+            raise DomainError(f"argument {lo} < 0")
+        if hi > z_max:
+            raise DomainError(f"argument {hi} exceeds the configured cap {z_max}")
+    return nuf, arr, scalar
+
+
+def bessel_j(nu, z, z_max: float = DEFAULT_Z_MAX):
+    """Bessel function of the first kind J_nu(z), real order nu >= -1/2.
+
+    z may be a scalar or a numpy array with entries in [0, z_max].
+    """
+    nuf, arr, scalar = _checked_argument(nu, z, z_max)
     if arr.size == 0:
         return arr
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo < 0.0:
-        raise DomainError(f"argument {lo} < 0")
-    if hi > z_max:
-        raise DomainError(f"argument {hi} exceeds the configured cap {z_max}")
     out = np.empty_like(arr)
     small = arr <= _SERIES_CUTOFF
     large = arr >= _asym_cutoff(nuf)
@@ -253,33 +280,14 @@ def reduced_bessel(nu, z, z_max: float = DEFAULT_Z_MAX):
 
     At z = 0 this equals 1 / (2^nu Gamma(nu+1)).
     """
-    nuf = float(nu)
-    if nuf < -0.5:
-        raise DomainError(f"order {nuf} < -1/2 not supported")
-    arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    nuf, arr, scalar = _checked_argument(nu, z, z_max)
     if arr.size == 0:
         return arr
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo < 0.0:
-        raise DomainError(f"argument {lo} < 0")
-    if hi > z_max:
-        raise DomainError(f"argument {hi} exceeds the configured cap {z_max}")
     out = np.empty_like(arr)
     small = arr <= _SERIES_CUTOFF
     if small.any():
-        zs = arr[small]
         pref = 2.0**-nuf / gamma_fn(nuf + 1.0)
-        ratio = -0.25 * zs * zs
-        term = np.ones_like(zs)
-        total = np.ones_like(zs)
-        for m in range(1, 80):
-            term = term * ratio / (m * (nuf + m))
-            total += term
-            if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
-                break
-        out[small] = pref * total
+        out[small] = pref * _series_sum(nuf, arr[small])
     rest = ~small
     if rest.any():
         zr = arr[rest]

@@ -182,14 +182,15 @@ def _parse_index(text: str) -> MultiIndex:
         raise SpecError(f"bad index {text!r}: {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(args, payload) -> None:
+    """Write a JSON payload, or a str payload unchanged, to --out or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +210,7 @@ def cmd_transform(args) -> int:
         wf = WindowedHFunction(f, window)
         target = lambda *cols: wf.evaluate(cols)
     gf = hankel_nd(mu, target, grid, rule, direct=args.direct)
-    if args.format == "csv":
-        text = gf.to_csv()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(args, gf.to_json())
+    _emit(args, gf.to_csv() if args.format == "csv" else gf.to_json())
     return 0
 
 
@@ -398,7 +391,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, SpecError) as exc:
+    except (DomainError, SpecError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except HankelcError as exc:

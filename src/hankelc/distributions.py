@@ -36,8 +36,8 @@ from .symbolic import (
     EvenPolynomial,
     EvenRational,
     GaussianPolynomial,
-    OperatorPoly,
     SymbolicHFunction,
+    _terms_from_json,
     apply_Sk,
     apply_Tk,
     check_hypothesis,
@@ -371,13 +371,7 @@ class DeltaCombination:
     @classmethod
     def from_json(cls, data) -> "DeltaCombination":
         mu = MuVector.from_json(data["mu"])
-        terms = {}
-        for t in data["terms"]:
-            k = MultiIndex(t["k"])
-            if k in terms:
-                raise DomainError(f"duplicate term {list(k)}")
-            terms[k] = t["c"]
-        return cls(mu, terms)
+        return cls(mu, _terms_from_json(data["terms"], "c"))
 
     def __eq__(self, other):
         if not isinstance(other, DeltaCombination):
@@ -546,7 +540,7 @@ def _denominator_gate(form: MultiplierForm):
     if rat.power == 0:
         return
     denom = rat.denom
-    report = check_hypothesis(OperatorPoly(denom.dim, dict(denom._coeffs)))
+    report = check_hypothesis(denom)
     if isinstance(form.window, OuterWindow):
         # the window kills a neighborhood of the origin, so vanishing
         # only matters away from it

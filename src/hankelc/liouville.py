@@ -106,12 +106,11 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
     for f in basis:
         fvals = sample_on_nodes(f, grid.axes)
         weighted.append((weight * fvals, weight * np.abs(fvals)))
-    mult = P.as_even_polynomial()
     worst = [0.0] * len(basis)
     for phi in family:
         if tuple(phi.mu) != tuple(mu) or phi.dim != n:
             raise DomainError("family member does not match the order vector")
-        g = SymbolicHFunction(mu, phi.poly * mult, phi.decay)
+        g = SymbolicHFunction(mu, phi.poly * P, phi.decay)
         gvals = hankel_nd(mu, g, grid, rule, z_max=z_max).values
         gabs = np.abs(gvals)
         for i, (wf, wabs) in enumerate(weighted):

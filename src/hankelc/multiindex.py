@@ -15,7 +15,6 @@ from .errors import ComponentExceeds, DimensionMismatch, DomainError
 
 __all__ = [
     "MultiIndex",
-    "mi_length",
     "mi_factorial",
     "mi_binomial",
     "mi_below",
@@ -29,18 +28,23 @@ class MultiIndex(tuple):
     """Immutable tuple of nonnegative integers with componentwise arithmetic."""
 
     def __new__(cls, entries):
-        entries = tuple(entries)
-        try:
-            vals = tuple(int(v) for v in entries)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"multi-index entries must be integers: {exc}") from exc
-        if len(vals) < 1:
-            raise DomainError("a multi-index needs at least one component")
-        for i, (orig, v) in enumerate(zip(entries, vals)):
-            if orig != v:
-                raise DomainError(f"component {i} is not an integer: {orig!r}")
+        vals = []
+        for i, v in enumerate(entries):
+            if type(v) is not int:
+                if isinstance(v, bool):
+                    raise DomainError(f"component {i} is not an integer: {v!r}")
+                try:
+                    w = int(v)
+                except (TypeError, ValueError) as exc:
+                    raise DomainError(f"multi-index entries must be integers: {exc}") from exc
+                if w != v:
+                    raise DomainError(f"component {i} is not an integer: {v!r}")
+                v = w
             if v < 0:
                 raise DomainError(f"component {i} is negative: {v}")
+            vals.append(v)
+        if not vals:
+            raise DomainError("a multi-index needs at least one component")
         return super().__new__(cls, vals)
 
     @property
@@ -90,12 +94,6 @@ def unit_index(n: int, axis: int) -> MultiIndex:
     if not 0 <= axis < n:
         raise DomainError(f"axis {axis} outside range(0, {n})")
     return MultiIndex(1 if i == axis else 0 for i in range(n))
-
-
-def mi_length(k) -> int:
-    """Total order |k|."""
-    k = k if isinstance(k, MultiIndex) else MultiIndex(k)
-    return k.order
 
 
 def mi_factorial(k) -> int:

@@ -14,13 +14,14 @@ float orders degrade gracefully to float coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .bessel import MuVector
+from .bessel import MuVector, _coeff
 from .errors import DimensionMismatch, DomainError
 from .multiindex import (
     MultiIndex,
@@ -50,32 +51,6 @@ __all__ = [
     "check_hypothesis",
     "eval_symbolic",
 ]
-
-
-def _coeff(v):
-    """Coerce a coefficient: exact types become Fraction, floats stay.
-
-    Booleans, non-finite floats and strings that are not a finite
-    rational (such as "1/0" or "abc") raise DomainError.
-    """
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, bool):
-        raise DomainError(f"coefficient must be a number, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            q = Fraction(v)
-            float(q)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"bad coefficient {v!r}: {exc}") from None
-        return q
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise DomainError(f"coefficient must be finite, got {v!r}")
-        return v
-    raise DomainError(f"unsupported coefficient type {type(v)!r}")
 
 
 def _terms_from_json(terms, key) -> dict:
@@ -327,9 +302,6 @@ class SymbolicHFunction:
         """The u-part, i.e. the function divided by x^(mu+1/2)."""
         return GaussianPolynomial(self.poly, self.decay)
 
-    def with_u(self, u: GaussianPolynomial) -> "SymbolicHFunction":
-        return SymbolicHFunction(self.mu, u.poly, u.decay)
-
     def __eq__(self, other):
         if not isinstance(other, SymbolicHFunction):
             return NotImplemented
@@ -473,72 +445,24 @@ def apply_Sk(k, f: SymbolicHFunction) -> SymbolicHFunction:
 # Operator polynomials
 
 
-class OperatorPoly:
+class OperatorPoly(EvenPolynomial):
     """Operator polynomial L = sum_alpha (-1)^|alpha| a_alpha S^alpha.
 
     The coefficient map also defines the plain polynomial
-    P(x) = sum_alpha a_alpha x^alpha used in the hypothesis checks and in
-    the transform-side multiplier P[y^2].
+    P(x) = sum_alpha a_alpha x^alpha used in the hypothesis checks (as
+    `evaluate` at plain coordinates) and the transform-side multiplier
+    P[y^2] (the same coefficients read in the squared coordinates).
     """
 
-    __slots__ = ("dim", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, dim: int, coeffs):
-        if dim < 1:
-            raise DomainError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        clean: dict[MultiIndex, object] = {}
-        for k, v in coeffs.items():
-            k = MultiIndex(k)
-            if k.dim != dim:
-                raise DimensionMismatch(
-                    f"term {tuple(k)} has dimension {k.dim}, expected {dim}"
-                )
-            c = _coeff(v)
-            if c != 0:
-                clean[k] = clean.get(k, Fraction(0)) + c
-        if not clean:
+        super().__init__(dim, coeffs)
+        if self.is_zero:
             raise DomainError("operator polynomial has no nonzero terms")
-        self._coeffs = clean
-
-    def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: graded_key(kv[0]))
-
-    def coefficient(self, k):
-        return self._coeffs.get(MultiIndex(k), Fraction(0))
-
-    @property
-    def degree(self) -> int:
-        return max(k.order for k in self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return self.dim == other.dim and self._coeffs == other._coeffs
-
-    def evaluate_plain(self, coords):
-        """P(x) with plain (not squared) powers, vectorized."""
-        cols = [np.asarray(c, dtype=float) for c in coords]
-        total = 0.0
-        for k, v in self._coeffs.items():
-            term = float(v)
-            for c, p in zip(cols, k):
-                if p:
-                    term = term * c**p
-            total = total + term
-        return total
-
-    def as_even_polynomial(self) -> EvenPolynomial:
-        """Reinterpret the coefficients as the even polynomial P[x^2]."""
-        return EvenPolynomial(self.dim, dict(self._coeffs))
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {"k": list(k), "a": _coeff_to_json(v)} for k, v in self.items()
-            ],
-        }
+        return {"dim": self.dim, "terms": self.json_terms(key="a")}
 
     @classmethod
     def from_json(cls, data: dict) -> "OperatorPoly":
@@ -656,7 +580,8 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                # the rows are sparse: skip the exact no-op a - f * 0
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -735,25 +660,32 @@ class HypothesisReport:
         return f"HypothesisReport(passed={self.passed}, reason={self.reason!r})"
 
 
+@functools.lru_cache(maxsize=32)
 def _simplex_lattice(n: int, target: int) -> np.ndarray:
     """Lattice on the unit simplex with roughly `target` points, one per row.
 
     The rows are the compositions of m into n parts (stars and bars: the
-    gaps between n-1 bars among m+n-1 slots), divided by m.
+    gaps between n-1 bars among m+n-1 slots), divided by m.  The lattice
+    depends only on (n, target), so it is built once and shared read-only.
     """
     if n == 1:
-        return np.ones((1, 1))
-    m = 1
-    while math.comb(m + n - 1, n - 1) < target:
-        m += 1
-    bars = np.array(list(itertools.combinations(range(m + n - 1), n - 1)))
-    parts = np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1
-    return parts / m
+        pts = np.ones((1, 1))
+    else:
+        m = 1
+        while math.comb(m + n - 1, n - 1) < target:
+            m += 1
+        bars = np.array(list(itertools.combinations(range(m + n - 1), n - 1)))
+        pts = (np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1) / m
+    pts.setflags(write=False)
+    return pts
 
 
-def check_hypothesis(P: OperatorPoly, grid_points: int = 10000) -> HypothesisReport:
+def check_hypothesis(P: EvenPolynomial, grid_points: int = 10000) -> HypothesisReport:
     """Test that P has same-sign coefficients and no zero on the closed
     positive orthant away from the origin.
+
+    P is read with plain powers, P(x) = sum_k p_k x^k; any EvenPolynomial
+    (an OperatorPoly or a multiplier denominator) can be passed.
 
     The structural criterion is exact: with same-sign coefficients, P is
     orthant-nonvanishing away from 0 iff the constant term is nonzero or
@@ -783,7 +715,7 @@ def check_hypothesis(P: OperatorPoly, grid_points: int = 10000) -> HypothesisRep
     # numerical double check on the simplex; same-sign coefficients mean a
     # float sum of the terms has no cancellation, so a zero there is exact
     pts = _simplex_lattice(P.dim, grid_points)
-    vals = np.abs(P.evaluate_plain(pts.T))
+    vals = np.abs(P.evaluate(pts.T))
     grid_min = float(np.min(vals)) if len(pts) else math.inf
 
     passed = same_sign and orthant and (not same_sign or grid_min > 0.0)

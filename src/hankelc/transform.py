@@ -6,22 +6,17 @@ that is the default path.  A direct path assembles the full product
 kernel and is kept for cross-checking the factorized one on small
 problems.  Family members x^(mu+1/2) Q(x^2) e^(-c|x|^2) are sums of
 products of 1-D factors, so they are sampled and transformed per axis.
-
-For outputs near zero the kernel is written as
-sqrt(xy) J_mu(xy) = x^(mu+1/2) y^(mu+1/2) * [z^(-mu) J_mu(z)]|_{z=xy},
-which keeps everything finite at y = 0; the round-trip helper uses that
-reduced form so it can spline the first transform through the origin.
+The family is closed under the transform, so the round-trip helper takes
+the first transform on the rule's own nodes and needs no interpolation.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .bessel import DEFAULT_Z_MAX, MuVector, bessel_j, reduced_bessel
+from .bessel import DEFAULT_Z_MAX, MuVector, bessel_j
 from .errors import (
     DecayRequired,
     DimensionMismatch,
@@ -136,9 +131,9 @@ _KERNEL_CACHE_CAP = 32
 _KERNEL_LOCK = threading.Lock()
 
 
-def _cached_kernel(kind, alpha, ys, rule, z_max, build) -> np.ndarray:
+def _kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
+    """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i)."""
     key = (
-        kind,
         float(alpha),
         ys.tobytes(),
         rule.nodes.tobytes(),
@@ -149,7 +144,8 @@ def _cached_kernel(kind, alpha, ys, rule, z_max, build) -> np.ndarray:
         hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
-    value = build()
+    z = np.outer(ys, rule.nodes)
+    value = np.sqrt(z) * bessel_j(alpha, z, z_max=z_max) * rule.weights[None, :]
     value.setflags(write=False)
     with _KERNEL_LOCK:
         if key not in _KERNEL_CACHE:
@@ -159,44 +155,9 @@ def _cached_kernel(kind, alpha, ys, rule, z_max, build) -> np.ndarray:
         return _KERNEL_CACHE[key]
 
 
-def _kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
-    """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i)."""
-
-    def build():
-        z = np.outer(ys, rule.nodes)
-        k = np.sqrt(z) * bessel_j(alpha, z, z_max=z_max)
-        return k * rule.weights[None, :]
-
-    return _cached_kernel("plain", alpha, ys, rule, z_max, build)
-
-
-def _reduced_kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
-    """Kernel against x^(alpha+1/2), finite for y = 0.
-
-    K[i, j] = w_j x_j^(alpha+1/2) redJ_alpha(x_j y_i), so contracting a
-    sample of f gives the transform divided by y^(alpha+1/2).
-    """
-    a = float(alpha)
-
-    def build():
-        z = np.outer(ys, rule.nodes)
-        k = rule.nodes[None, :] ** (a + 0.5) * reduced_bessel(a, z, z_max=z_max)
-        return k * rule.weights[None, :]
-
-    return _cached_kernel("reduced", a, ys, rule, z_max, build)
-
-
 def hankel_1d(alpha, f, ys, rule: QuadratureRule, z_max: float = DEFAULT_Z_MAX) -> GridFunction:
-    """1-D Hankel transform evaluated on output points ys > 0."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or ys.size == 0:
-        raise DomainError("output points must form a nonempty 1-D array")
-    if float(ys.min()) <= 0.0:
-        raise DomainError("output points must be positive")
-    _check_arguments(ys, rule, z_max)
-    fx = sample_on_nodes(f, [rule.nodes])
-    k = _kernel_matrix(alpha, ys, rule, z_max)
-    return GridFunction(GridSpec([ys]), k @ fx, MuVector([alpha]))
+    """1-D Hankel transform on strictly increasing output points ys > 0."""
+    return hankel_nd([alpha], f, GridSpec([ys]), rule, z_max=z_max)
 
 
 def hankel_nd(
@@ -269,63 +230,29 @@ def orthant_pair(f, g, rule: QuadratureRule, dim: int = None, absolute: bool = F
     return float(prod)
 
 
-def _reduced_transform_values(mu, f, out_axes, rule, z_max) -> np.ndarray:
-    """Transform divided by y^(mu+1/2), sampled on out_axes (0 allowed)."""
-    n = mu.dim
-    vals = sample_on_nodes(f, [rule.nodes] * n)
-    return _contract(
-        vals,
-        [_reduced_kernel_matrix(float(mu[a]), out_axes[a], rule, z_max) for a in range(n)],
-    )
-
-
 def hankel_roundtrip_residual(
     f: SymbolicHFunction,
     comparison: GridSpec,
     rule: QuadratureRule = None,
-    samples_per_axis: int = 512,
     z_max: float = DEFAULT_Z_MAX,
 ) -> dict:
     """Sup-norm defect of transforming twice and comparing with f.
 
-    The first transform is sampled densely in its reduced form, splined
-    (cubic), re-multiplied by y^(mu+1/2) at the quadrature nodes and
-    transformed again onto the comparison grid.  The same residual at
-    half the sample count is returned as a convergence check.
+    The first transform is evaluated on the rule's own nodes, which is
+    where the second transform samples it, and transformed again onto the
+    comparison grid.  The same residual with half the panels is returned
+    as a convergence check.
     """
-    n = f.dim
-    if n > 2:
-        raise DomainError("round-trip helper supports 1 or 2 axes")
     if f.decay == 0:
         raise DecayRequired("round-trip needs a decaying family member")
     if rule is None:
         rule = default_rule_for(float(f.decay))
+    target = sample_on_nodes(f, comparison.axes)
 
-    def run(samples: int) -> float:
-        dense = np.linspace(0.0, rule.radius, samples)
-        reduced = _reduced_transform_values(f.mu, f, [dense] * n, rule, z_max)
-        if n == 1:
-            spline = CubicSpline(dense, reduced)
-
-            def first(y):
-                return spline(y) * y ** (float(f.mu[0]) + 0.5)
-
-            mid = first(rule.nodes)
-        else:
-            spline = RectBivariateSpline(dense, dense, reduced, kx=3, ky=3)
-            ym = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-            mid = (
-                spline.ev(ym[0].ravel(), ym[1].ravel()).reshape(
-                    rule.size, rule.size
-                )
-                * ym[0] ** (float(f.mu[0]) + 0.5)
-                * ym[1] ** (float(f.mu[1]) + 0.5)
-            )
-        back = hankel_nd(f.mu, mid if n > 1 else (lambda y: first(y)), comparison, rule, z_max=z_max)
-        target = sample_on_nodes(f, comparison.axes)
+    def run(r: QuadratureRule) -> float:
+        mid = hankel_nd(f.mu, f, GridSpec([r.nodes] * f.dim), r, z_max=z_max)
+        back = hankel_nd(f.mu, mid.values, comparison, r, z_max=z_max)
         return float(np.max(np.abs(back.values - target)))
 
-    return {
-        "residual": run(samples_per_axis),
-        "coarse_residual": run(max(16, samples_per_axis // 2)),
-    }
+    half = build_quadrature(rule.radius, rule.points_per_panel, max(1, rule.panels // 2))
+    return {"residual": run(rule), "coarse_residual": run(half)}

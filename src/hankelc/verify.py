@@ -218,22 +218,6 @@ def _chk_direct_vs_factorized() -> dict:
     return _check("direct_vs_factorized", float(np.max(np.abs(fast - slow))), 1e-9)
 
 
-def _identities_checks():
-    return [
-        _chk_gamma_recurrence,
-        _chk_half_order,
-        _chk_bessel_derivative,
-        _chk_bessel_operator_fd,
-        _chk_koh_zemanian,
-        _chk_s_delta_scaling,
-        _chk_transform_eigenfunction,
-        _chk_transform_degree2,
-        _chk_self_adjoint,
-        _chk_diagonalization,
-        _chk_direct_vs_factorized,
-    ]
-
-
 # ---------------------------------------------------------------------------
 # roundtrip
 
@@ -255,14 +239,8 @@ def _chk_roundtrip_1d_coarse() -> dict:
 def _chk_roundtrip_2d() -> dict:
     mu = MuVector(["1/2", "3/4"])
     f = _gauss_member(mu, EvenPolynomial(2, {(0, 0): 1, (1, 0): Fraction(1, 3)}))
-    res = hankel_roundtrip_residual(
-        f, GridSpec.linear(0.1, 4.0, 24, dim=2), samples_per_axis=256
-    )
+    res = hankel_roundtrip_residual(f, GridSpec.linear(0.1, 4.0, 24, dim=2))
     return _check("roundtrip_sup_2d", res["residual"], 1e-6)
-
-
-def _roundtrip_checks():
-    return [_chk_roundtrip_1d, _chk_roundtrip_1d_coarse, _chk_roundtrip_2d]
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +284,6 @@ def _chk_taylor_tk_remainder() -> dict:
     f = _gauss_member(mu, EvenPolynomial(2, {(0, 0): 1, (1, 1): Fraction(-1, 2)}))
     rep = taylor_coeffs(mu, f, 2, method="exact")
     return _check("taylor_derivative_remainder", rep.tk_final_max(), 1e-6)
-
-
-def _taylor_checks():
-    return [
-        _chk_taylor_exact,
-        _chk_taylor_extrapolated,
-        _chk_taylor_remainder,
-        _chk_taylor_tk_remainder,
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +338,6 @@ def _chk_rho_consistency() -> dict:
         for k in [(0,), (1,)]
     )
     return _check("rho_equals_lambda_sum", abs(total - parts) / parts, 1e-12)
-
-
-def _seminorm_checks():
-    return [
-        _chk_lambda_00,
-        _chk_lambda_01,
-        _chk_gamma_10,
-        _chk_lambda_11,
-        _chk_lambda_bound,
-        _chk_rho_consistency,
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -450,33 +408,57 @@ def _chk_negative_control_2d() -> dict:
     return _check("weak_check_detects_nonkernel_2d", r, 0.1, expected_fail=True)
 
 
-def _liouville_checks():
-    return [
-        _chk_kernel_1d,
-        _chk_kernel_1d_weak,
-        _chk_kernel_2d,
-        _chk_kernel_2d_weak,
-        _chk_hypothesis_gate,
-    ]
-
-
 _NEGATIVE = {
     "liouville": [_chk_negative_control_1d, _chk_negative_control_2d],
 }
 
 _BUILDERS = {
-    "identities": _identities_checks,
-    "roundtrip": _roundtrip_checks,
-    "taylor": _taylor_checks,
-    "seminorms": _seminorm_checks,
-    "liouville": _liouville_checks,
+    "identities": (
+        _chk_gamma_recurrence,
+        _chk_half_order,
+        _chk_bessel_derivative,
+        _chk_bessel_operator_fd,
+        _chk_koh_zemanian,
+        _chk_s_delta_scaling,
+        _chk_transform_eigenfunction,
+        _chk_transform_degree2,
+        _chk_self_adjoint,
+        _chk_diagonalization,
+        _chk_direct_vs_factorized,
+    ),
+    "roundtrip": (
+        _chk_roundtrip_1d,
+        _chk_roundtrip_1d_coarse,
+        _chk_roundtrip_2d,
+    ),
+    "taylor": (
+        _chk_taylor_exact,
+        _chk_taylor_extrapolated,
+        _chk_taylor_remainder,
+        _chk_taylor_tk_remainder,
+    ),
+    "seminorms": (
+        _chk_lambda_00,
+        _chk_lambda_01,
+        _chk_gamma_10,
+        _chk_lambda_11,
+        _chk_lambda_bound,
+        _chk_rho_consistency,
+    ),
+    "liouville": (
+        _chk_kernel_1d,
+        _chk_kernel_1d_weak,
+        _chk_kernel_2d,
+        _chk_kernel_2d_weak,
+        _chk_hypothesis_gate,
+    ),
 }
 
 
 def run_suite(name: str, negative_controls: bool = False, threads: int = 1) -> dict:
     if name not in _BUILDERS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITES}")
-    checks = list(_BUILDERS[name]())
+    checks = list(_BUILDERS[name])
     if negative_controls:
         checks += _NEGATIVE.get(name, [])
     results = parallel_map(lambda c: c(), checks, threads)

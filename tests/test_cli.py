@@ -318,6 +318,35 @@ def test_malformed_coefficient_exit_2(tmp_path, term, capsys):
     assert "invalid input" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"mu": [true], "function": {"decay": "1/2", "terms": [{"k": [0], "q": 1}]}}',
+        '{"mu": [NaN], "function": {"decay": "1/2", "terms": [{"k": [0], "q": 1}]}}',
+        '{"mu": ["1e400"], "function": {"decay": "1/2", "terms": [{"k": [0], "q": 1}]}}',
+        '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [{"k": [true], "q": 1}]}}',
+    ],
+    ids=["mu-bool", "mu-nan", "mu-overflow", "k-bool"],
+)
+def test_malformed_order_or_index_exit_2(tmp_path, spec, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(["transform", "--spec", str(path), "--grid", "0.5:2:4"]) == 2
+    captured = capsys.readouterr()
+    assert "invalid input" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_into_missing_directory_exit_2(tmp_path, fmt, capsys):
+    spec = _write_spec(tmp_path, GAUSS_1D)
+    out = str(tmp_path / "missing" / "x")
+    argv = ["transform", "--spec", spec, "--grid", "0.5:2:4", "--format", fmt, "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "Traceback" not in err
+
+
 def test_power_without_denominator(tmp_path):
     spec = {
         "mu": ["1/2"],
@@ -338,6 +367,19 @@ def test_quad_cap_exit_code(tmp_path):
 def test_bad_grid_syntax(tmp_path):
     path = _write_spec(tmp_path, GAUSS_1D)
     assert main(["transform", "--spec", path, "--grid", "alpha:1:2:3"]) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime must not load it
+    code = "import sys, hankelc; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=Path(hankelc.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path):

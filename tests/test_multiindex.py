@@ -7,7 +7,6 @@ from hankelc.multiindex import (
     mi_binomial,
     mi_factorial,
     mi_graded_enumerate,
-    mi_length,
     unit_index,
 )
 
@@ -16,7 +15,6 @@ def test_construction_and_properties():
     k = MultiIndex((2, 0, 1))
     assert k.dim == 3
     assert k.order == 3
-    assert mi_length(k) == 3
 
 
 @pytest.mark.parametrize("bad", [(-1,), (1.5,), (), ("a",)])

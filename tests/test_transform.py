@@ -13,6 +13,7 @@ from hankelc import (
     DomainError,
     EvenPolynomial,
     GridSpec,
+    LimitExceeded,
     MuVector,
     OperatorPoly,
     SymbolicHFunction,
@@ -129,6 +130,38 @@ def test_roundtrip_residual_small():
     report = hankel_roundtrip_residual(f, GridSpec.linear(0.1, 4.0, 50))
     assert report["residual"] < 1e-6
     assert report["coarse_residual"] < 1e-5
+
+
+def test_roundtrip_on_nodes_reaches_roundoff():
+    # the first transform lands on the rule's own nodes, so no
+    # interpolation error enters: 1-D at roundoff, 2-D near it
+    mu1 = MuVector(["1/2"])
+    f1 = SymbolicHFunction(mu1, EvenPolynomial(1, {(0,): 1, (1,): Fraction(-1, 4)}), HALF)
+    assert hankel_roundtrip_residual(f1, GridSpec.linear(0.1, 4.0, 60))["residual"] <= 1e-12
+    mu2 = MuVector(["1/2", "3/4"])
+    f2 = SymbolicHFunction(mu2, EvenPolynomial(2, {(0, 0): 1, (1, 0): Fraction(1, 3)}), HALF)
+    report = hankel_roundtrip_residual(f2, GridSpec.linear(0.1, 4.0, 24, dim=2))
+    assert report["residual"] <= 1e-9
+    assert report["coarse_residual"] <= 1e-6
+
+
+def test_roundtrip_truncated_rule_is_reported():
+    # negative control: a 4-point, 2-panel rule cannot resolve the member
+    f = SymbolicHFunction(MuVector(["1/2"]), EvenPolynomial(1, {(0,): 1, (1,): -HALF}), HALF)
+    rule = default_rule_for(HALF, points_per_panel=4, panels=2)
+    report = hankel_roundtrip_residual(f, GridSpec.linear(0.1, 4.0, 50), rule=rule)
+    assert report["residual"] > 0.1
+
+
+def test_roundtrip_3d():
+    mu = MuVector(["1/2", "3/4", "0"])
+    f = SymbolicHFunction(mu, EvenPolynomial(3, {(0, 0, 0): 1, (1, 0, 1): Fraction(1, 3)}), HALF)
+    grid = GridSpec.linear(0.1, 4.0, 8, dim=3)
+    report = hankel_roundtrip_residual(f, grid, rule=default_rule_for(HALF, 16, 8))
+    assert report["residual"] <= 1e-6
+    # the default 384-node rule would need a 384^3 node grid
+    with pytest.raises(LimitExceeded):
+        hankel_roundtrip_residual(f, grid)
 
 
 def test_argument_cap():
