@@ -54,7 +54,6 @@ from .symbolic import (
     apply_T,
     apply_Tk,
     check_hypothesis,
-    eval_symbolic,
     kernel_basis,
     koh_zemanian_coeffs,
     koh_zemanian_coeffs_nd,

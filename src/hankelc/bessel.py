@@ -72,10 +72,13 @@ class MuVector(tuple):
     Entries are parsed like coefficients: int, Fraction or "num/den"
     string are kept exact, finite floats stay floats, and booleans and
     non-finite values are rejected.  Exact entries let the symbolic layer
-    produce exact rational coefficients.
+    produce exact rational coefficients.  An existing MuVector is returned
+    as it is, so MuVector(mu) coerces any accepted input.
     """
 
     def __new__(cls, entries):
+        if isinstance(entries, MuVector):
+            return entries
         vals = []
         for i, v in enumerate(entries):
             w = _coeff(v)
@@ -105,10 +108,6 @@ class MuVector(tuple):
 
     def to_json(self):
         return [str(v) if isinstance(v, Fraction) else v for v in self]
-
-    @classmethod
-    def from_json(cls, data) -> "MuVector":
-        return cls(data)
 
 
 # Lanczos approximation, g = 7 with 9 coefficients.  Good to ~1e-13
@@ -297,7 +296,7 @@ def reduced_bessel(nu, z, z_max: float = DEFAULT_Z_MAX):
 
 def c_mu(mu: MuVector) -> float:
     """Normalization constant prod_i 2^mu_i Gamma(mu_i + 1)."""
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     out = 1.0
     for m in mu:
         out *= 2.0 ** float(m) * gamma_fn(float(m) + 1.0)
@@ -310,7 +309,7 @@ def c_k_mu(mu: MuVector, k):
     Equals (-1)^|k| c_mu(mu) / c_mu(mu + k); the gamma ratio telescopes,
     so for rational mu the value is an exact Fraction.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     k = MultiIndex(k)
     if len(k) != len(mu):
         raise DomainError(

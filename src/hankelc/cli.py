@@ -90,7 +90,7 @@ def _spec_mu(data: dict) -> MuVector:
         raise SpecError("spec needs a 'mu' entry")
     if not isinstance(data["mu"], list) or not data["mu"]:
         raise SpecError("'mu' must be a nonempty list, one order per axis")
-    return MuVector.from_json(data["mu"])
+    return MuVector(data["mu"])
 
 
 def _spec_function(data: dict, mu: MuVector) -> SymbolicHFunction:
@@ -183,8 +183,14 @@ def _parse_index(text: str) -> MultiIndex:
 
 
 def _emit(args, payload) -> None:
-    """Write a JSON payload, or a str payload unchanged, to --out or stdout."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    """Write a JSON payload, or a str payload unchanged, to --out or stdout.
+
+    NaN and infinity are not JSON, so a payload holding one is refused.
+    """
+    try:
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"the result is not finite: {exc}") from None
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

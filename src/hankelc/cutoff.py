@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .bessel import _coeff
 from .errors import DomainError
 from .symbolic import SymbolicHFunction
 
@@ -52,8 +53,8 @@ class _RadialWindow:
     __slots__ = ("inner", "outer")
 
     def __init__(self, inner: float, outer: float):
-        inner = float(inner)
-        outer = float(outer)
+        inner = float(_coeff(inner))
+        outer = float(_coeff(outer))
         if not 0.0 < inner < outer:
             raise DomainError(f"need 0 < inner < outer, got {inner}, {outer}")
         self.inner = inner
@@ -86,9 +87,12 @@ class _RadialWindow:
 
     @staticmethod
     def from_json(data) -> "_RadialWindow":
-        cls = {"cutoff": CutoffSpec, "outer": OuterWindow}.get(data.get("kind"))
+        kind = data.get("kind")
+        cls = {"cutoff": CutoffSpec, "outer": OuterWindow}.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise DomainError(f"unknown window kind {data.get('kind')!r}")
+            raise DomainError(f"unknown window kind {kind!r}")
+        if "inner" not in data or "outer" not in data:
+            raise DomainError("a window needs both 'inner' and 'outer'")
         return cls(data["inner"], data["outer"])
 
 

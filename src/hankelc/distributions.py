@@ -10,6 +10,7 @@ squared step.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .errors import (
     HypothesisFailed,
     SupportViolation,
 )
+from .liouville import default_weak_family
 from .multiindex import (
     MultiIndex,
     mi_below,
@@ -113,12 +115,16 @@ def _resolve_test_function(phi):
 
 
 def _diag_samples(u: GaussianPolynomial, ladder) -> list:
-    out = []
-    for j in ladder:
-        h = 2.0**-j
-        cols = [np.asarray(h)] * u.dim
-        out.append(float(u.evaluate(cols)))
-    return out
+    """u at x = 2^-j (1, ..., 1) for each j of the ladder."""
+    return [float(u.evaluate([np.asarray(2.0**-j)] * u.dim)) for j in ladder]
+
+
+def _diag_gaps(a: GaussianPolynomial, b: GaussianPolynomial, ladder) -> list:
+    """(j, a - b at x = 2^-j (1, ..., 1)) for each j of the ladder."""
+    return [
+        (j, va - vb)
+        for j, va, vb in zip(ladder, _diag_samples(a, ladder), _diag_samples(b, ladder))
+    ]
 
 
 def _limit_tk(k: MultiIndex, u: GaussianPolynomial, method: str, ladder):
@@ -142,7 +148,7 @@ def pair_delta(k, mu, phi, method: str = "auto", ladder=_DEFAULT_LADDER):
     along x = 2^-j (1,..,1) (override with method="exact", which is
     valid for any symbolic member).
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     k = MultiIndex(k)
     base, zero = _resolve_test_function(phi)
     if tuple(base.mu) != tuple(mu):
@@ -155,19 +161,14 @@ def pair_delta(k, mu, phi, method: str = "auto", ladder=_DEFAULT_LADDER):
 
 
 def pair_s_delta(k, mu, phi, method: str = "auto", ladder=_DEFAULT_LADDER):
-    """Pairing of S^k delta (via the adjoint: limit of the S^k image)."""
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    """Pairing of S^k delta (via the adjoint: the delta paired with S^k phi)."""
     k = MultiIndex(k)
     base, zero = _resolve_test_function(phi)
-    if tuple(base.mu) != tuple(mu):
-        raise DomainError("order vector does not match the test function's")
-    if zero:
-        return 0.0
-    image = apply_Sk(k, base)
-    zero_k = MultiIndex([0] * mu.dim)
-    return c_mu(mu) * float(_limit_tk(zero_k, image.u, method, ladder))
+    germ = phi if zero else apply_Sk(k, base)
+    return pair_delta(MultiIndex([0] * k.dim), mu, germ, method, ladder)
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class TaylorReport:
     """Even Taylor data of a u-part at the origin.
 
@@ -177,15 +178,12 @@ class TaylorReport:
     decay to 0 for the expansion order to be honest.
     """
 
-    __slots__ = ("mu", "order", "method", "coefficients", "remainder_samples", "tk_remainder")
-
-    def __init__(self, mu, order, method, coefficients, remainder_samples, tk_remainder):
-        self.mu = mu
-        self.order = order
-        self.method = method
-        self.coefficients = coefficients
-        self.remainder_samples = remainder_samples
-        self.tk_remainder = tk_remainder
+    mu: MuVector
+    order: int
+    method: str
+    coefficients: dict
+    remainder_samples: list
+    tk_remainder: dict
 
     def remainder_nonincreasing(self, start: int = 6) -> bool:
         vals = [abs(v) for j, v in self.remainder_samples if j >= start]
@@ -222,7 +220,7 @@ def taylor_coeffs(
     ladder=_DEFAULT_LADDER,
 ) -> TaylorReport:
     """Even Taylor coefficients a_2k = lim T^k u / (2^|k| k!), |k| <= order."""
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     if tuple(phi.mu) != tuple(mu):
         raise DomainError("order vector does not match the function's")
     if order < 0:
@@ -235,32 +233,20 @@ def taylor_coeffs(
     for k in mi_graded_enumerate(mu.dim, order):
         lim = _limit_tk(k, u, resolved, ladder)
         coeffs[k] = lim / (2 ** k.order * mi_factorial(k))
-    partial = EvenPolynomial(mu.dim, coeffs)
-    remainder_samples = []
-    for j in ladder:
-        h = 2.0**-j
-        cols = [np.asarray(h)] * mu.dim
-        r = float(u.evaluate(cols)) - float(partial.evaluate([c * c for c in cols]))
-        remainder_samples.append((j, r))
-    tk_remainder = {}
-    for k in mi_graded_enumerate(mu.dim, order):
-        if k.order != order:
-            continue
-        tk_u = apply_Tk(k, u)
-        tk_p = apply_Tk(k, GaussianPolynomial(partial, 0))
-        samples = []
-        for j in ladder:
-            h = 2.0**-j
-            cols = [np.asarray(h)] * mu.dim
-            val = float(tk_u.evaluate(cols)) - float(tk_p.evaluate(cols))
-            samples.append((j, val))
-        tk_remainder[k] = samples
-    return TaylorReport(mu, order, resolved, coeffs, remainder_samples, tk_remainder)
+    partial = GaussianPolynomial(EvenPolynomial(mu.dim, coeffs), 0)
+    tk_remainder = {
+        k: _diag_gaps(apply_Tk(k, u), apply_Tk(k, partial), ladder)
+        for k in mi_graded_enumerate(mu.dim, order)
+        if k.order == order
+    }
+    return TaylorReport(
+        mu, order, resolved, coeffs, _diag_gaps(u, partial, ladder), tk_remainder
+    )
 
 
 def hankel_delta(k, mu) -> SymbolicHFunction:
     """Transform of the k-th delta derivative: c^mu_k t^(mu+2k+1/2)."""
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     k = MultiIndex(k)
     if k.dim != mu.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
@@ -285,7 +271,7 @@ def pair_delta_transform(
     factors, and the origin limit is Richardson-extrapolated.  rhs pairs
     the closed-form transform c^mu_k t^(mu+2k+1/2) with phi directly.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     k = MultiIndex(k)
     if k.dim != mu.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
@@ -324,7 +310,7 @@ class DeltaCombination:
     __slots__ = ("mu", "terms")
 
     def __init__(self, mu, terms):
-        self.mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+        self.mu = MuVector(mu)
         clean = {}
         for k, c in dict(terms).items():
             k = MultiIndex(k)
@@ -349,9 +335,6 @@ class DeltaCombination:
             )
         )
 
-    def as_functional(self):
-        return self.pair
-
     def transform(self) -> SymbolicHFunction:
         """Symbolic transform: sum_k c_k c^mu_k t^(mu+2k+1/2)."""
         poly = EvenPolynomial(
@@ -370,8 +353,7 @@ class DeltaCombination:
 
     @classmethod
     def from_json(cls, data) -> "DeltaCombination":
-        mu = MuVector.from_json(data["mu"])
-        return cls(mu, _terms_from_json(data["terms"], "c"))
+        return cls(data["mu"], _terms_from_json(data["terms"], "c"))
 
     def __eq__(self, other):
         if not isinstance(other, DeltaCombination):
@@ -380,17 +362,6 @@ class DeltaCombination:
 
     def __repr__(self):
         return f"DeltaCombination(mu={tuple(self.mu)}, terms={dict(self.terms)})"
-
-
-def _random_family_member(mu: MuVector, rng, decay=Fraction(1, 2)) -> SymbolicHFunction:
-    coeffs = {}
-    for k in mi_graded_enumerate(mu.dim, 2):
-        c = int(rng.integers(-3, 4))
-        if c:
-            coeffs[k] = Fraction(c)
-    if not coeffs:
-        coeffs[MultiIndex([0] * mu.dim)] = Fraction(1)
-    return SymbolicHFunction(mu, EvenPolynomial(mu.dim, coeffs), decay)
 
 
 def reconstruct_point_supported(
@@ -408,16 +379,16 @@ def reconstruct_point_supported(
 
     c_k = F(x^(mu+1/2) x^2k psi) / (c_mu 2^|k| k!), |k| <= order, where
     psi is the plateau window `cut`.  Before reading coefficients the
-    functional is probed with `probes` random far-field test functions;
-    a nonzero response raises SupportViolation.
+    functional is probed with `probes` random far-field test functions
+    (default_weak_family(mu, probes, seed) under an outer window); a
+    nonzero response raises SupportViolation.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
-    rng = np.random.default_rng(seed)
     far = OuterWindow(cut.outer, 2.0 * cut.outer)
-    for _ in range(probes):
-        probe = WindowedHFunction(_random_family_member(mu, rng), far)
+    for member in default_weak_family(mu, probes, seed):
+        probe = WindowedHFunction(member, far)
         response = float(functional(probe))
         if abs(response) > support_tol:
             raise SupportViolation(
@@ -502,16 +473,14 @@ class MultiplierForm:
         return total
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class MultiplierReport:
     """Per-index decay exponents and bounds for a multiplier candidate."""
 
-    __slots__ = ("dim", "max_order", "entries", "note")
-
-    def __init__(self, dim, max_order, entries, note=None):
-        self.dim = dim
-        self.max_order = max_order
-        self.entries = entries
-        self.note = note
+    dim: int
+    max_order: int
+    entries: dict
+    note: str | None = None
 
     @property
     def bounded(self) -> bool:

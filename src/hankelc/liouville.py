@@ -10,6 +10,7 @@ the kernel.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ _TINY = 1e-300
 def default_weak_family(mu, count: int = 10, seed: int = 7):
     """Random test functions with Gaussian decay 1/2 and small exact
     polynomial parts; used as the dual probes of the weak check."""
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     if count < 1:
         raise DomainError(f"need at least one test function, got {count}")
     rng = np.random.default_rng(seed)
@@ -87,7 +88,7 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
     The family is the outer loop, so each transform of P[x^2] phi is
     computed once and only one is held at a time.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     n = mu.dim
     for f in basis:
         if tuple(f.mu) != tuple(mu):
@@ -120,6 +121,7 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
     return worst
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class KernelCertificate:
     """Evidence bundle for a kernel solve.
 
@@ -128,22 +130,12 @@ class KernelCertificate:
     residuals from an independent quadrature route.
     """
 
-    __slots__ = (
-        "dimension",
-        "max_degree",
-        "exact_zero",
-        "weak_residuals",
-        "family_size",
-        "hypothesis",
-    )
-
-    def __init__(self, dimension, max_degree, exact_zero, weak_residuals, family_size, hypothesis):
-        self.dimension = dimension
-        self.max_degree = max_degree
-        self.exact_zero = exact_zero
-        self.weak_residuals = weak_residuals
-        self.family_size = family_size
-        self.hypothesis = hypothesis
+    dimension: int
+    max_degree: int
+    exact_zero: list
+    weak_residuals: list
+    family_size: int
+    hypothesis: dict
 
     @property
     def consistent(self) -> bool:
@@ -176,7 +168,7 @@ def liouville_solve(
     origin, since the kernel description is only guaranteed under that
     hypothesis.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     report = check_hypothesis(P)
     if not report.passed:
         raise HypothesisFailed(report.reason)

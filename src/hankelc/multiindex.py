@@ -35,7 +35,7 @@ class MultiIndex(tuple):
                     raise DomainError(f"component {i} is not an integer: {v!r}")
                 try:
                     w = int(v)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise DomainError(f"multi-index entries must be integers: {exc}") from exc
                 if w != v:
                     raise DomainError(f"component {i} is not an integer: {v!r}")

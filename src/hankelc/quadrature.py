@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .bessel import MuVector
-from .errors import DimensionMismatch, DomainError, LimitExceeded
+from .errors import DimensionMismatch, DomainError, LimitExceeded, NumericError
 
 __all__ = [
     "QuadratureRule",
@@ -124,6 +124,8 @@ class GridSpec:
         for i, a in enumerate(axes):
             if a.ndim != 1 or a.size == 0:
                 raise DomainError(f"axis {i} must be a nonempty 1-D array")
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"axis {i} must be finite")
             if a[0] <= 0.0:
                 raise DomainError(f"axis {i} must start at a positive value")
             if np.any(np.diff(a) <= 0.0):
@@ -177,7 +179,7 @@ class GridFunction:
     def __init__(self, spec: GridSpec, values, mu):
         self.spec = spec
         self.values = np.asarray(values, dtype=float)
-        self.mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+        self.mu = MuVector(mu)
         if self.values.shape != spec.shape:
             raise DimensionMismatch(
                 f"values shape {self.values.shape} does not match grid {spec.shape}"
@@ -198,10 +200,12 @@ class GridFunction:
     def from_json(cls, data) -> "GridFunction":
         spec = GridSpec.from_json(data["spec"])
         values = np.asarray(data["values"], dtype=float).reshape(spec.shape)
-        return cls(spec, values, MuVector.from_json(data["mu"]))
+        return cls(spec, values, data["mu"])
 
     def to_csv(self) -> str:
         """Row-major CSV with columns x1..xn,value."""
+        if not np.all(np.isfinite(self.values)):
+            raise NumericError("the transform has non-finite values")
         n = self.spec.dim
         header = ",".join(f"x{i+1}" for i in range(n)) + ",value"
         mesh = self.spec.meshgrid()

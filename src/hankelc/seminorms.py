@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .bessel import MuVector
-from .errors import DecayRequired, DimensionMismatch, DomainError
+from .errors import DecayRequired, DimensionMismatch, DomainError, NumericError
 from .multiindex import MultiIndex, mi_graded_enumerate
 from .quadrature import GridSpec
 from .symbolic import (
@@ -134,7 +134,11 @@ def _weighted_sup(u: GaussianPolynomial, m: int, grid: GridSpec) -> float:
                 return fn(full)
 
             sub = GridSpec([grid.axes[a] for a in free])
-            best = max(best, grid_supremum(face, sub))
+            face_sup = grid_supremum(face, sub)
+            # max() would silently drop a NaN sample (say inf * 0)
+            if not math.isfinite(face_sup):
+                raise NumericError("the weighted function has non-finite samples")
+            best = max(best, face_sup)
     return best
 
 
@@ -144,7 +148,7 @@ def _validate(m: int, k, mu, f: SymbolicHFunction) -> MultiIndex:
     k = MultiIndex(k)
     if k.dim != f.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, function {f.dim}")
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     if tuple(mu) != tuple(f.mu):
         raise DomainError("order vector does not match the function's")
     if f.decay == 0:

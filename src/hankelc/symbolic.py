@@ -14,6 +14,7 @@ float orders degrade gracefully to float coefficients.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -49,7 +50,6 @@ __all__ = [
     "koh_zemanian_coeffs_nd",
     "kernel_basis",
     "check_hypothesis",
-    "eval_symbolic",
 ]
 
 
@@ -242,7 +242,8 @@ class GaussianPolynomial:
         return self.poly == other.poly and self.decay == other.decay
 
     def __hash__(self):
-        return hash((self.poly, self.decay))
+        # zero polynomials are equal whatever their decay, so hash alike
+        return hash((self.poly, None if self.poly.is_zero else self.decay))
 
     def __add__(self, other):
         if self.decay != other.decay and not (
@@ -285,7 +286,7 @@ class SymbolicHFunction:
     __slots__ = ("mu", "poly", "decay")
 
     def __init__(self, mu, poly: EvenPolynomial, decay=0):
-        self.mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+        self.mu = MuVector(mu)
         if poly.dim != self.mu.dim:
             raise DimensionMismatch(
                 f"polynomial dimension {poly.dim} != order vector {self.mu.dim}"
@@ -339,7 +340,7 @@ class SymbolicHFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicHFunction":
-        mu = MuVector.from_json(data["mu"])
+        mu = MuVector(data["mu"])
         poly = EvenPolynomial.from_json_terms(mu.dim, data["terms"], key="q")
         return cls(mu, poly, data.get("decay", 0))
 
@@ -348,18 +349,6 @@ class SymbolicHFunction:
             f"SymbolicHFunction(mu={tuple(self.mu)}, poly={self.poly!r}, "
             f"decay={self.decay})"
         )
-
-
-def eval_symbolic(f: SymbolicHFunction, x):
-    """Evaluate f at a point (or arrays of points) with all x_i > 0."""
-    cols = [np.asarray(c, dtype=float) for c in x]
-    if len(cols) != f.dim:
-        raise DimensionMismatch(f"need {f.dim} coordinates, got {len(cols)}")
-    for i, c in enumerate(cols):
-        if c.size and float(c.min()) <= 0.0:
-            raise DomainError(f"coordinate {i} must be positive")
-    val = f.evaluate(cols)
-    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +535,7 @@ def koh_zemanian_coeffs(k: int, mu_axis) -> dict:
 def koh_zemanian_coeffs_nd(k, mu: MuVector) -> dict:
     """Tensor version: b_{l,k} = prod_i b_{l_i,k_i}(mu_i), for l <= k."""
     k = MultiIndex(k)
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     if k.dim != mu.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
     per_axis = [koh_zemanian_coeffs(ki, mi) for ki, mi in zip(k, mu)]
@@ -595,7 +584,7 @@ def kernel_basis(L: OperatorPoly, mu: MuVector, max_degree: int):
     Requires rational orders; the solve runs entirely over Fractions and
     the basis is returned in graded-lex echelon form.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     if not mu.is_rational:
         raise DomainError("kernel solves need rational orders")
     if L.dim != mu.dim:
@@ -632,32 +621,24 @@ def kernel_basis(L: OperatorPoly, mu: MuVector, max_degree: int):
     return basis
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class HypothesisReport:
     """Outcome of the sign/nonvanishing test for an operator polynomial."""
 
-    __slots__ = (
-        "passed",
-        "same_sign",
-        "sign",
-        "orthant_nonvanishing",
-        "failing_axis",
-        "grid_min_abs",
-        "grid_points",
-        "reason",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw.get(name))
+    passed: bool
+    same_sign: bool
+    sign: int
+    orthant_nonvanishing: bool
+    failing_axis: int | None
+    grid_min_abs: float
+    grid_points: int
+    reason: str | None
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return dataclasses.asdict(self)
 
     def __bool__(self):
         return bool(self.passed)
-
-    def __repr__(self):
-        return f"HypothesisReport(passed={self.passed}, reason={self.reason!r})"
 
 
 @functools.lru_cache(maxsize=32)
@@ -763,6 +744,8 @@ class EvenRational:
             )
         if denom.is_zero:
             raise DomainError("denominator is identically zero")
+        if isinstance(power, bool) or not isinstance(power, (int, float)) or not math.isfinite(power):
+            raise DomainError(f"power must be a finite number, got {power!r}")
         if power < 0:
             raise DomainError(f"power must be >= 0, got {power}")
         self.denom = denom

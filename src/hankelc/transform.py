@@ -7,7 +7,7 @@ kernel and is kept for cross-checking the factorized one on small
 problems.  Family members x^(mu+1/2) Q(x^2) e^(-c|x|^2) are sums of
 products of 1-D factors, so they are sampled and transformed per axis.
 The family is closed under the transform, so the round-trip helper takes
-the first transform on the rule's own nodes and needs no interpolation.
+the first transform on quadrature nodes and needs no interpolation.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def sample_on_nodes(f, axes) -> np.ndarray:
     """Evaluate f on the tensor grid spanned by 1-D coordinate arrays.
 
     f may be a SymbolicHFunction, an ndarray of precomputed values, or a
-    callable taking n broadcastable coordinate arrays.  Family members
-    are evaluated axis by axis, without forming the coordinate mesh.
+    callable that takes n coordinate arrays and broadcasts over them.
+    Family members are evaluated axis by axis, without forming the mesh.
     """
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     shape = tuple(a.size for a in axes)
@@ -106,12 +106,7 @@ def sample_on_nodes(f, axes) -> np.ndarray:
     if isinstance(f, SymbolicHFunction):
         return _contract(*_family_factors(f, axes))
     mesh = np.meshgrid(*axes, indexing="ij")
-    try:
-        vals = np.asarray(f(*mesh), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.vectorize(lambda *c: float(f(*c)))(*mesh)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), shape)
-    return np.array(vals)
+    return np.array(np.broadcast_to(np.asarray(f(*mesh), dtype=float), shape))
 
 
 def _check_arguments(ys: np.ndarray, rule: QuadratureRule, z_max: float):
@@ -176,7 +171,7 @@ def hankel_nd(
     samples f and sums the assembled product kernel instead; it is
     quadratic in memory and intended only for small cross-check problems.
     """
-    mu = mu if isinstance(mu, MuVector) else MuVector(mu)
+    mu = MuVector(mu)
     n = mu.dim
     if grid.dim != n:
         raise DimensionMismatch(f"order vector dimension {n}, grid {grid.dim}")
@@ -238,10 +233,11 @@ def hankel_roundtrip_residual(
 ) -> dict:
     """Sup-norm defect of transforming twice and comparing with f.
 
-    The first transform is evaluated on the rule's own nodes, which is
-    where the second transform samples it, and transformed again onto the
-    comparison grid.  The same residual with half the panels is returned
-    as a convergence check.
+    f has decay c and its transform decay 1/(4c) (Weber's integral), so
+    the transform is evaluated on the nodes of the rule scaled by 2c,
+    whose radius covers that decay, and the scaled rule transforms it
+    again onto the comparison grid.  The same residual with half the
+    panels is returned as a convergence check.
     """
     if f.decay == 0:
         raise DecayRequired("round-trip needs a decaying family member")
@@ -250,8 +246,9 @@ def hankel_roundtrip_residual(
     target = sample_on_nodes(f, comparison.axes)
 
     def run(r: QuadratureRule) -> float:
-        mid = hankel_nd(f.mu, f, GridSpec([r.nodes] * f.dim), r, z_max=z_max)
-        back = hankel_nd(f.mu, mid.values, comparison, r, z_max=z_max)
+        scaled = build_quadrature(2 * f.decay * r.radius, r.points_per_panel, r.panels)
+        mid = hankel_nd(f.mu, f, GridSpec([scaled.nodes] * f.dim), r, z_max=z_max)
+        back = hankel_nd(f.mu, mid.values, comparison, scaled, z_max=z_max)
         return float(np.max(np.abs(back.values - target)))
 
     half = build_quadrature(rule.radius, rule.points_per_panel, max(1, rule.panels // 2))

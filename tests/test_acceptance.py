@@ -253,7 +253,7 @@ def test_criterion_05_structure_roundtrip():
         if not terms:
             terms[MultiIndex([0] * n)] = 1.0
         truth = DeltaCombination(mu, terms)
-        got = reconstruct_point_supported(truth.as_functional(), mu, 2, cut)
+        got = reconstruct_point_supported(truth.pair, mu, 2, cut)
         keys = set(truth.terms) | set(got.terms)
         err = max(
             abs(truth.terms.get(k, 0.0) - got.terms.get(k, 0.0)) for k in keys

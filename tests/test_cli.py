@@ -337,6 +337,68 @@ def test_malformed_order_or_index_exit_2(tmp_path, spec, capsys):
     assert captured.out == ""
 
 
+_FN = '"function": {"decay": "1/2", "terms": [{"k": [0], "q": 1}]}'
+_MULT = '"multiplier": {"numer": [{"k": [0], "q": 1}], "denom": [{"k": [0], "q": 1}, {"k": [1], "q": 1}]'
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        ('{"mu": ["1/2"], "function": {"terms": [{"k": [1e400], "q": 1}]}}', ["transform"]),
+        ('{"mu": ["1/2"], %s, "window": {"kind": "cutoff", "inner": "a", "outer": 2}}' % _FN, ["transform"]),
+        ('{"mu": ["1/2"], %s, "window": {"kind": "cutoff", "inner": null, "outer": 2}}' % _FN, ["transform"]),
+        ('{"mu": ["1/2"], %s, "window": {"kind": "cutoff", "outer": 2}}' % _FN, ["transform"]),
+        ('{"mu": ["1/2"], %s, "window": {"kind": "outer", "inner": 1}}' % _FN, ["transform"]),
+        ('{"mu": ["1/2"], %s, "window": {"kind": "outer", "inner": 1, "outer": 1e400}}' % _FN, ["transform"]),
+        ('{%s, "power": "x"}}' % _MULT, ["multiplier", "--max-order", "0"]),
+        ('{"mu": ["1/2"], %s}' % _FN, ["transform", "--grid", "0.1:inf:4"]),
+    ],
+    ids=[
+        "k-overflow",
+        "window-inner-string",
+        "window-inner-null",
+        "window-inner-missing",
+        "window-outer-missing",
+        "window-outer-overflow",
+        "power-string",
+        "grid-infinite",
+    ],
+)
+def test_malformed_value_exit_2(tmp_path, spec, argv, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(argv + ["--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "invalid input" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_HUGE = '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [%s]}}' % ", ".join(
+    '{"k": [%d], "q": 1.7e308}' % k for k in range(3)
+)
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (_HUGE, ["transform", "--grid", "0.5:2:4"]),
+        (_HUGE, ["transform", "--grid", "0.5:2:4", "--format", "csv"]),
+        (
+            '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [{"k": [400], "q": 1}]}}',
+            ["seminorm", "--kind", "gamma", "-m", "1", "-k", "0"],
+        ),
+    ],
+    ids=["transform-json", "transform-csv", "seminorm-nan"],
+)
+def test_non_finite_result_exit_3(tmp_path, spec, argv, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(argv + ["--spec", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_out_into_missing_directory_exit_2(tmp_path, fmt, capsys):
     spec = _write_spec(tmp_path, GAUSS_1D)

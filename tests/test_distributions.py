@@ -246,7 +246,7 @@ def test_delta_combination_transform():
 def test_reconstruct_recovers_coefficients():
     mu = MuVector(["1/2", "0"])
     truth = DeltaCombination(mu, {(0, 0): 1.5, (1, 0): -0.5, (0, 2): Fraction(1, 3)})
-    got = reconstruct_point_supported(truth.as_functional(), mu, 2, CutoffSpec(1.0, 2.0))
+    got = reconstruct_point_supported(truth.pair, mu, 2, CutoffSpec(1.0, 2.0))
     assert set(got.terms) == set(truth.terms)
     for k, c in truth.terms.items():
         assert got.terms[k] == pytest.approx(float(c), abs=1e-12)

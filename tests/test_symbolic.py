@@ -22,7 +22,6 @@ from hankelc import (
     apply_T,
     apply_Tk,
     check_hypothesis,
-    eval_symbolic,
     kernel_basis,
     koh_zemanian_coeffs,
     koh_zemanian_coeffs_nd,
@@ -79,12 +78,18 @@ def test_symbolic_function_json_roundtrip():
     assert SymbolicHFunction.from_json(f.to_json()) == f
 
 
-def test_eval_symbolic_positive_domain():
+def test_zero_members_hash_alike_whatever_the_decay():
+    zero = EvenPolynomial.zero(1)
+    a = GaussianPolynomial(zero, Fraction(1, 2))
+    b = GaussianPolynomial(zero, Fraction(1, 3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     mu = MuVector(["1/2"])
-    f = SymbolicHFunction(mu, EvenPolynomial.constant(1, 1), Fraction(1, 2))
-    assert eval_symbolic(f, [1.0]) == pytest.approx(math.exp(-0.5))
-    with pytest.raises(DomainError):
-        eval_symbolic(f, [0.0])
+    f = SymbolicHFunction(mu, zero, Fraction(1, 2))
+    g = SymbolicHFunction(mu, zero, Fraction(1, 3))
+    assert f == g and len({f, g}) == 1
+    # nonzero members still tell decays apart
+    one = EvenPolynomial.constant(1, 1)
+    assert len({GaussianPolynomial(one, Fraction(1, 2)), GaussianPolynomial(one, Fraction(1, 3))}) == 2
 
 
 # ---------------------------------------------------------------------------

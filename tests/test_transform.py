@@ -145,6 +145,19 @@ def test_roundtrip_on_nodes_reaches_roundoff():
     assert report["coarse_residual"] <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "decay", [Fraction(1, 8), Fraction(1, 4), 1, 2, 8], ids=["1/8", "1/4", "1", "2", "8"]
+)
+def test_roundtrip_covers_the_transform_decay(decay):
+    # H f decays at rate 1/(4c), so its nodes come from the rule scaled by
+    # 2c; the rule of f alone truncates H f for c > 1/2 and overruns the
+    # Bessel cap for c < 0.32
+    f = SymbolicHFunction(MuVector(["1/2"]), EvenPolynomial(1, {(0,): 1, (1,): Fraction(-1, 4)}), decay)
+    report = hankel_roundtrip_residual(f, GridSpec.linear(0.1, 4.0, 60))
+    assert report["residual"] <= 1e-12
+    assert report["coarse_residual"] <= 1e-12
+
+
 def test_roundtrip_truncated_rule_is_reported():
     # negative control: a 4-point, 2-panel rule cannot resolve the member
     f = SymbolicHFunction(MuVector(["1/2"]), EvenPolynomial(1, {(0,): 1, (1,): -HALF}), HALF)
