@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import DEFAULT_Z_MAX, MuVector
-from .errors import DimensionMismatch, DomainError, HypothesisFailed
+from .errors import DimensionMismatch, DomainError, HypothesisFailed, NumericError
 from .multiindex import mi_graded_enumerate
 from .quadrature import GridSpec, QuadratureRule
 from .symbolic import (
@@ -86,7 +86,11 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
     """weak_spectral_check for every candidate in basis.
 
     The family is the outer loop, so each transform of P[x^2] phi is
-    computed once and only one is held at a time.
+    computed once and only one is held at a time.  Every operand is
+    flattened in Fortran order, which is a free view of the transform
+    (its last contraction leaves it Fortran-ordered in 2-D), so each
+    pairing is one dot product of two contiguous vectors.  A pairing
+    that overflows raises NumericError rather than certifying f.
     """
     mu = MuVector(mu)
     n = mu.dim
@@ -103,20 +107,22 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
     weight = rule.weights
     for _ in range(n - 1):
         weight = np.multiply.outer(weight, rule.weights)
+    weight = weight.ravel(order="F")
     weighted = []
     for f in basis:
-        fvals = sample_on_nodes(f, grid.axes)
-        weighted.append((weight * fvals, weight * np.abs(fvals)))
+        wf = weight * sample_on_nodes(f, grid.axes).ravel(order="F")
+        weighted.append((wf, np.abs(wf)))
     worst = [0.0] * len(basis)
     for phi in family:
         if tuple(phi.mu) != tuple(mu) or phi.dim != n:
             raise DomainError("family member does not match the order vector")
         g = SymbolicHFunction(mu, phi.poly * P, phi.decay)
-        gvals = hankel_nd(mu, g, grid, rule, z_max=z_max).values
+        gvals = hankel_nd(mu, g, grid, rule, z_max=z_max).values.ravel(order="F")
         gabs = np.abs(gvals)
         for i, (wf, wabs) in enumerate(weighted):
-            numer = abs(float(np.sum(wf * gvals)))
-            denom = float(np.sum(wabs * gabs))
+            numer, denom = abs(float(np.dot(wf, gvals))), float(np.dot(wabs, gabs))
+            if not (np.isfinite(numer) and np.isfinite(denom)):
+                raise NumericError("weak pairing is not finite")
             worst[i] = max(worst[i], numer / max(denom, _TINY))
     return worst
 
@@ -169,6 +175,8 @@ def liouville_solve(
     hypothesis.
     """
     mu = MuVector(mu)
+    # a float coefficient is solved exactly as the binary value it is
+    P = OperatorPoly(P.dim, {k: Fraction(v) for k, v in P.items()})
     report = check_hypothesis(P)
     if not report.passed:
         raise HypothesisFailed(report.reason)

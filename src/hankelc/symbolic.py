@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import MuVector, _coeff
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NumericError
 from .multiindex import (
     MultiIndex,
     graded_key,
@@ -373,6 +373,8 @@ def apply_T(axis: int, u: GaussianPolynomial) -> GaussianPolynomial:
             out[key] = out.get(key, Fraction(0)) + 2 * k[axis] * q
         if two_c != 0:
             out[k] = out.get(k, Fraction(0)) - two_c * q
+    if any(isinstance(v, float) and not math.isfinite(v) for v in out.values()):
+        raise NumericError(f"T_{axis} overflowed a float coefficient")
     return GaussianPolynomial(EvenPolynomial(n, out), u.decay)
 
 

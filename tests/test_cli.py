@@ -114,6 +114,18 @@ def test_kernel_hypothesis_exit_code(tmp_path, capsys):
     assert main(["kernel", "--spec", path, "--degree", "2"]) == 4
 
 
+def test_kernel_float_coefficients_exact(tmp_path, capsys):
+    # 0.1 is solved as its binary value, so every basis element is exact
+    spec = {
+        "mu": ["1/2", "1/2"],
+        "operator": {"terms": [{"k": [1, 0], "a": 0.1}, {"k": [0, 1], "a": 1}]},
+    }
+    path = _write_spec(tmp_path, spec)
+    code, out = _run(capsys, ["kernel", "--spec", path, "--degree", "3"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["exact_zero"] == [True] * 4
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -387,8 +399,12 @@ _HUGE = '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [%s]}}' % ", ".jo
             '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [{"k": [400], "q": 1}]}}',
             ["seminorm", "--kind", "gamma", "-m", "1", "-k", "0"],
         ),
+        (
+            '{"mu": ["1/2"], "function": {"decay": 1e300, "terms": [{"k": [0], "q": 1e300}]}}',
+            ["taylor", "--order", "2", "--method", "exact"],
+        ),
     ],
-    ids=["transform-json", "transform-csv", "seminorm-nan"],
+    ids=["transform-json", "transform-csv", "seminorm-nan", "taylor-exact-overflow"],
 )
 def test_non_finite_result_exit_3(tmp_path, spec, argv, capsys):
     path = tmp_path / "spec.json"

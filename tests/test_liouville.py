@@ -2,18 +2,24 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hankelc import (
     EvenPolynomial,
+    GridSpec,
     HypothesisFailed,
     KernelCertificate,
     LimitExceeded,
     MuVector,
+    NumericError,
     OperatorPoly,
     SymbolicHFunction,
+    apply_L,
+    build_quadrature,
     default_rule_for,
     default_weak_family,
+    hankel_nd,
     liouville_solve,
     weak_spectral_check,
 )
@@ -130,3 +136,52 @@ def test_3d_weak_check_hits_grid_cap():
     P = _operator(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     with pytest.raises(LimitExceeded):
         liouville_solve(P, ["1/2"] * 3, 1)
+
+
+@pytest.mark.parametrize(
+    "mu, op, poly",
+    [
+        (["0", "3/2"], {(1, 0): 1, (0, 1): 2}, {(1, 0): 1, (0, 2): 3, (1, 1): -1}),
+        (["3/2"], {(1,): 1}, {(1,): 1, (2,): -2}),
+    ],
+    ids=["2d", "1d"],
+)
+def test_weak_check_matches_brute_force_pairing(mu, op, poly):
+    # orders, operator and candidate are all asymmetric in the two axes,
+    # so pairing values flattened in different orders cannot agree
+    mu = MuVector(mu)
+    P = _operator(mu.dim, op)
+    f = SymbolicHFunction(mu, EvenPolynomial(mu.dim, poly), 0)
+    rule = build_quadrature(default_rule_for(Fraction(1, 2)).radius, 8, 4)
+    family = default_weak_family(mu, count=4, seed=3)
+    mesh = np.meshgrid(*[rule.nodes] * mu.dim, indexing="ij")
+    weight = np.prod(np.meshgrid(*[rule.weights] * mu.dim, indexing="ij"), axis=0)
+    wf = weight * f.evaluate(mesh)
+    expected = 0.0
+    for phi in family:
+        g = SymbolicHFunction(mu, phi.poly * P, phi.decay)
+        grid = GridSpec([rule.nodes] * mu.dim)
+        hg = hankel_nd(mu, g.evaluate(mesh), grid, rule, direct=True).values
+        expected = max(expected, abs(np.sum(wf * hg)) / np.sum(np.abs(wf * hg)))
+    assert expected >= 0.01
+    assert weak_spectral_check(f, P, mu, family, rule) == pytest.approx(
+        expected, rel=1e-12
+    )
+
+
+def test_weak_check_refuses_non_finite_pairing():
+    # the pairings overflow to inf and their ratio is NaN, which max() drops
+    f = SymbolicHFunction(["1/2"], EvenPolynomial(1, {(1,): 1, (6,): 1e300}), 0)
+    with pytest.raises(NumericError):
+        weak_spectral_check(f, _operator(1, {(1,): 1}))
+
+
+@pytest.mark.parametrize("a", [1e-300, 0.1, 1 / 3])
+def test_float_operator_coefficients_solve_exactly(a):
+    P = _operator(2, {(1, 0): a, (0, 1): 1})
+    basis, cert = liouville_solve(P, ["1/2", "3/2"], 4)
+    assert cert.dimension == 5
+    assert cert.exact_zero == [True] * 5
+    exact = _operator(2, {(1, 0): Fraction(a), (0, 1): 1})
+    assert all(apply_L(exact, b).poly.is_zero for b in basis)
+    assert all(r < 1e-6 for r in cert.weak_residuals)
