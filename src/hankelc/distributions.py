@@ -64,12 +64,13 @@ __all__ = [
 _DEFAULT_LADDER = tuple(range(4, 13))
 
 
-def richardson_limit(values, ratio: float = 4.0, levels: int = 3):
+def richardson_limit(values, ratio: float = 4.0, levels: int = 3, floor: float = 0.0):
     """Limit of a sequence v_j = L + a q^-j + b q^-2j + ... as j grows.
 
     values are ordered by increasing j with q = ratio.  Returns
     (estimate, error_indicator).  Raises ExtrapolationDiverged when the
-    tail differences grow instead of contracting.
+    tail differences grow instead of contracting, unless the last one
+    is within `floor`, a bound on the rounding noise of the values.
     """
     vals = [float(v) for v in values]
     if len(vals) < levels + 2:
@@ -83,7 +84,7 @@ def richardson_limit(values, ratio: float = 4.0, levels: int = 3):
     if (
         len(diffs) >= 3
         and diffs[-1] > diffs[-2] > diffs[-3]
-        and diffs[-1] > 1e-9 * scale
+        and diffs[-1] > max(1e-9 * scale, floor)
         and diffs[-1] > 10.0 * min(diffs)
     ):
         raise ExtrapolationDiverged("ladder differences are growing")
@@ -290,6 +291,10 @@ def pair_delta_transform(
         shape[a] = rule.size
         vals = vals * (rule.nodes**power * rule.weights).reshape(shape)
     sign = -1.0 if k.order % 2 else 1.0
+    # |reduced_bessel(nu, z)| <= its value 1 / (2^nu Gamma(nu+1)) at 0 for
+    # nu >= -1/2, so this bounds the rounding noise of every ladder value
+    floor = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(vals)))
+    floor /= c_mu(mu.shifted(k))
     ladder_vals = []
     for j in ladder:
         h = 2.0**-j
@@ -299,7 +304,7 @@ def pair_delta_transform(
             r = reduced_bessel(nu_a, h * rule.nodes, z_max=z_max)
             acc = np.tensordot(acc, r, axes=(0, 0))
         ladder_vals.append(sign * float(acc))
-    est, err = richardson_limit(ladder_vals, ratio=4.0, levels=levels)
+    est, err = richardson_limit(ladder_vals, ratio=4.0, levels=levels, floor=floor)
     lhs = c_mu(mu) * est
     return {"lhs": lhs, "rhs": rhs, "ladder_error": c_mu(mu) * err}
 

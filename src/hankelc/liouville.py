@@ -11,6 +11,7 @@ the kernel.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -39,12 +40,22 @@ __all__ = [
 _TINY = 1e-300
 
 
-def default_weak_family(mu, count: int = 10, seed: int = 7):
+def default_weak_family(mu, count: int = 10, seed: int = 7) -> tuple:
     """Random test functions with Gaussian decay 1/2 and small exact
-    polynomial parts; used as the dual probes of the weak check."""
+    polynomial parts; used as the dual probes of the weak check.
+
+    Built once per (mu, count, seed) and shared as a tuple.
+    """
     mu = MuVector(mu)
     if count < 1:
         raise DomainError(f"need at least one test function, got {count}")
+    # keyed by the JSON form, so a float order never shares an exact one's
+    return _weak_family(tuple(mu.to_json()), count, seed)
+
+
+@functools.lru_cache(maxsize=32)
+def _weak_family(mu_json: tuple, count: int, seed: int) -> tuple:
+    mu = MuVector(mu_json)
     rng = np.random.default_rng(seed)
     indices = mi_graded_enumerate(mu.dim, 2)
     family = []
@@ -59,7 +70,16 @@ def default_weak_family(mu, count: int = 10, seed: int = 7):
         family.append(
             SymbolicHFunction(mu, EvenPolynomial(mu.dim, coeffs), Fraction(1, 2))
         )
-    return family
+    return tuple(family)
+
+
+@functools.lru_cache(maxsize=1)
+def _default_weak_rule() -> QuadratureRule:
+    """default_rule_for(0.5), built once and shared with read-only arrays."""
+    rule = default_rule_for(0.5)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def weak_spectral_check(
@@ -102,7 +122,7 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
     if family is None:
         family = default_weak_family(mu)
     if rule is None:
-        rule = default_rule_for(0.5)
+        rule = _default_weak_rule()
     grid = GridSpec([rule.nodes] * n)
     weight = rule.weights
     for _ in range(n - 1):

@@ -6,10 +6,10 @@ only numerical step is taking a supremum of a closed-form expression:
     gamma_{m,k} = sup (1+|x|^2)^m |T^k u|,
     lambda_{m,k} = sup (1+|x|^2)^m |u-part of S^k f|.
 
-Suprema are estimated on geometric tensor grids, followed by a parabolic
-polish around the grid argmax, on the open orthant and on each of its
-faces where some coordinates vanish, down to the exact x -> 0 limit (the
-constant term of the polynomial).
+Suprema are estimated on geometric tensor grids, followed by stencil
+climbs from the grid's highest local maxima, on the open orthant and on
+each of its faces where some coordinates vanish, down to the exact
+x -> 0 limit (the constant term of the polynomial).
 """
 
 from __future__ import annotations
@@ -56,57 +56,110 @@ def default_sup_grid(f: SymbolicHFunction, weight_power: int) -> GridSpec:
     return GridSpec.geometric(1e-3, radius, points, dim=f.dim)
 
 
-def grid_supremum(fn, grid: GridSpec, polish: int = 8) -> float:
-    """Max of |fn| over the grid plus a log-space parabolic polish.
+# grid local maxima within this fraction of the grid maximum start a climb
+_START_MARGIN = 0.1
+_MAX_STARTS = 8
+# a climb stops at a stencil step in log x below this; the quadratic
+# vertex step taken before it leaves an error of order that step squared
+_CLIMB_TOL = 1e-5
+_MAX_CLIMB_ROUNDS = 200
+
+
+def _vertex_shift(vals, mid, stride) -> np.ndarray:
+    """Shift, in stencil steps, to the vertex of the quadratic through a
+    3^n stencil (vals in itertools.product order, centre at mid); zero
+    when the quadratic is not concave or its vertex is outside the
+    stencil."""
+    n = len(stride)
+    grad = np.empty(n)
+    hess = np.empty((n, n))
+    for a, sa in enumerate(stride):
+        fp, fm = vals[mid + sa], vals[mid - sa]
+        grad[a] = 0.5 * (fp - fm)
+        hess[a, a] = fp - 2.0 * vals[mid] + fm
+        for b, sb in enumerate(stride[:a]):
+            hess[a, b] = hess[b, a] = 0.25 * (
+                vals[mid + sa + sb] - vals[mid + sa - sb]
+                - vals[mid - sa + sb] + vals[mid - sa - sb]
+            )
+    try:
+        np.linalg.cholesky(-hess)
+        shift = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        return np.zeros(n)
+    return shift if np.max(np.abs(shift)) <= 1.0 else np.zeros(n)
+
+
+def _climb(fn, centre, step, lo, hi, offsets) -> float:
+    """Largest |fn| met by a stencil climb from centre, in log x.
+
+    Each round evaluates the 3^n stencil centre + step * offsets, kept
+    inside the box [lo, hi], in one call to fn.  A better neighbour
+    becomes the centre and the step doubles, so a climb can follow a
+    flat ridge many grid steps away.  Otherwise the centre moves to the
+    vertex of the quadratic through the stencil and the step shrinks by
+    8; the climb ends when a round at a step below _CLIMB_TOL finds no
+    better neighbour.
+    """
+    n = centre.size
+    mid = len(offsets) // 2
+    stride = [3 ** (n - 1 - a) for a in range(n)]
+    top = -math.inf
+    for _ in range(_MAX_CLIMB_ROUNDS):
+        trial = np.minimum(np.maximum(centre + step * offsets, lo), hi)
+        got = np.abs(np.asarray(fn(list(np.exp(trial.T))), dtype=float)).tolist()
+        vals = [v if v == v else -math.inf for v in got]  # NaN never wins
+        j = max(range(len(vals)), key=vals.__getitem__)
+        top = max(top, vals[j])
+        if vals[j] > vals[mid]:
+            centre, step = trial[j], 2.0 * step
+            continue
+        if step.max() < _CLIMB_TOL:
+            break
+        shift = _vertex_shift(vals, mid, stride)
+        centre = np.minimum(np.maximum(centre + shift * step, lo), hi)
+        step = 0.125 * step
+    return top
+
+
+def grid_supremum(fn, grid: GridSpec) -> float:
+    """Max of |fn| over the grid, refined by stencil climbs in log space.
 
     fn takes per-axis coordinate arrays (broadcastable) and returns the
-    (signed) values; the supremum is of the absolute value.  The polish
-    runs `polish` rounds of per-axis parabolic steps with a halving
-    bracket around the running argmax, in logarithmic coordinates.
+    (signed) values; the supremum is of the absolute value.  Every grid
+    local maximum within _START_MARGIN of the grid maximum (at most
+    _MAX_STARTS of them, highest first) starts a climb, so a hump that
+    the grid sampled just below another is still polished.  Climbs stay
+    inside the grid's box: the faces where coordinates vanish are
+    searched as grids of their own.
     """
-    axes = grid.axes
     n = grid.dim
-    mesh = grid.meshgrid()
-    vals = np.abs(np.asarray(fn(mesh), dtype=float))
-    flat_idx = int(np.argmax(vals))
-    idx = list(np.unravel_index(flat_idx, vals.shape))
-    best = float(vals[tuple(idx)])
-    point = [math.log(float(axes[a][idx[a]])) for a in range(n)]
+    vals = np.abs(np.asarray(fn(grid.meshgrid()), dtype=float))
+    best = float(np.max(vals))
+    if not best > 0.0 or not math.isfinite(best):
+        return best
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    # a start is a grid point within the margin and >= its 3^n - 1 neighbours
+    padded = np.pad(vals, 1, constant_values=-np.inf)
+    cand = np.flatnonzero(vals >= (1.0 - _START_MARGIN) * best)
+    at = np.ravel_multi_index(
+        tuple(i + 1 for i in np.unravel_index(cand, vals.shape)), padded.shape
+    )
+    flat = offsets @ (np.array(padded.strides) // padded.itemsize)
+    neighbours = padded.ravel()[at[:, None] + flat]
+    cand = cand[np.all(vals.ravel()[cand, None] >= neighbours, axis=1)]
+    cand = cand[np.argsort(-vals.ravel()[cand], kind="stable")[:_MAX_STARTS]]
 
-    def eval_log(p):
-        cols = [np.asarray(math.exp(v)) for v in p]
-        return float(abs(np.asarray(fn(cols))))
-
-    steps = []
-    for a in range(n):
-        j = min(max(idx[a], 1), axes[a].size - 1)
-        steps.append(math.log(axes[a][j]) - math.log(axes[a][j - 1]))
-
-    for _ in range(polish):
-        for a in range(n):
-            step = steps[a]
-            lo = point.copy()
-            hi = point.copy()
-            lo[a] -= step
-            hi[a] += step
-            vm, vp = eval_log(lo), eval_log(hi)
-            if vm > best or vp > best:
-                if vm >= vp:
-                    point, best = lo, vm
-                else:
-                    point, best = hi, vp
-            else:
-                denom = vm - 2.0 * best + vp
-                if denom < 0.0:
-                    shift = 0.5 * step * (vm - vp) / denom
-                    if abs(shift) <= step:
-                        trial = point.copy()
-                        trial[a] += shift
-                        vt = eval_log(trial)
-                        if vt > best:
-                            best, point = vt, trial
-            steps[a] = 0.5 * step
-    return best
+    logs = [np.log(axis) for axis in grid.axes]
+    lo, hi = np.array([v[0] for v in logs]), np.array([v[-1] for v in logs])
+    # the local grid spacing in log x (none on a one-point axis)
+    gaps = [np.diff(v) if v.size > 1 else np.zeros(1) for v in logs]
+    top = best
+    for idx in zip(*np.unravel_index(cand, vals.shape)):
+        centre = np.array([v[i] for v, i in zip(logs, idx)])
+        step = np.array([g[min(max(i - 1, 0), g.size - 1)] for g, i in zip(gaps, idx)])
+        top = max(top, _climb(fn, centre, step, lo, hi, offsets))
+    return top
 
 
 def _weighted_sup(u: GaussianPolynomial, m: int, grid: GridSpec) -> float:

@@ -554,37 +554,79 @@ def koh_zemanian_coeffs_nd(k, mu: MuVector) -> dict:
 # Kernel solves and the operator hypothesis
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rref, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
+def _lowering_rows(L: OperatorPoly, mu: MuVector, monos) -> dict:
+    """L's matrix on the monomials as sparse rows: {row monomial: {column:
+    value}}, where column j stands for monos[j].
+
+    On the decay-0 family S_i only lowers a monomial,
+    S_i x^(mu+1/2) s^m = 4 m_i (m_i + mu_i) x^(mu+1/2) s^(m-e_i), so the
+    term a_alpha of L sends column m to row m - alpha with the entry
+    (-1)^|alpha| a_alpha prod_i prod_{j<alpha_i} 4 (m_i-j)(m_i-j+mu_i),
+    and to no row unless m >= alpha componentwise.
+    """
+    terms = [
+        (alpha, -Fraction(a) if alpha.order % 2 else Fraction(a))
+        for alpha, a in L.items()
+    ]
+    rows: dict[tuple, dict] = {}
+    for col, m in enumerate(monos):
+        for alpha, a in terms:
+            if any(ai > mi for ai, mi in zip(alpha, m)):
+                continue
+            v = a
+            for mi, ai, mui in zip(m, alpha, mu):
+                for j in range(ai):
+                    v *= 4 * (mi - j) * (mi - j + mui)
+            rows.setdefault(tuple(x - y for x, y in zip(m, alpha)), {})[col] = v
+    return rows
+
+
+def _subtract(target: dict, f, row: dict, col: int):
+    """target -= f * row on every column but col, storing no zeros."""
+    for k, v in row.items():
+        if k != col:
+            w = target.get(k, 0) - f * v
+            if w:
+                target[k] = w
+            else:
+                target.pop(k, None)
+
+
+def _sparse_rref(rows) -> dict[int, dict]:
+    """Reduced row echelon form of sparse rows {column: Fraction}.
+
+    Returns {pivot column: its row}, each row scaled to 1 at its pivot
+    and zero in every other pivot column.  Rows are taken one at a time:
+    each is reduced by the pivots found so far, its lowest column
+    becomes a new pivot, and that column is cleared from the earlier
+    pivot rows.  The RREF of a matrix is unique, so the result does not
+    depend on the order of the rows.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], c)
+        if not row:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                # the rows are sparse: skip the exact no-op a - f * 0
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        p = min(row)
+        inv = 1 / row[p]
+        row = {k: v * inv for k, v in row.items()}
+        for other in pivots.values():
+            f = other.pop(p, 0)
+            if f:
+                _subtract(other, f, row, p)
+        pivots[p] = row
+    return pivots
 
 
 def kernel_basis(L: OperatorPoly, mu: MuVector, max_degree: int):
     """Exact basis of {f = x^(mu+1/2) Q(x^2) : deg Q <= max_degree, L f = 0}.
 
-    Requires rational orders; the solve runs entirely over Fractions and
-    the basis is returned in graded-lex echelon form.
+    Requires rational orders; the solve runs entirely over Fractions
+    (each coefficient of L is read exactly, as Fraction(a)) and the basis
+    is returned in graded-lex echelon form.  L's matrix comes from the
+    closed-form lowering rule, so apply_L stays an independent check.
     """
     mu = MuVector(mu)
     if not mu.is_rational:
@@ -594,32 +636,17 @@ def kernel_basis(L: OperatorPoly, mu: MuVector, max_degree: int):
     if max_degree < 0:
         raise DomainError(f"max_degree must be >= 0, got {max_degree}")
     monos = mi_graded_enumerate(mu.dim, max_degree)
-    row_of = {m: i for i, m in enumerate(monos)}
-    # column j holds the u-side coefficients of L applied to monomial j
-    columns = []
-    for m in monos:
-        f = SymbolicHFunction(mu, EvenPolynomial.monomial(m), 0)
-        g = apply_L(L, f)
-        col = [Fraction(0)] * len(monos)
-        for key, v in g.poly._coeffs.items():
-            col[row_of[key]] = v
-        columns.append(col)
-    matrix = [
-        [columns[j][i] for j in range(len(monos))] for i in range(len(monos))
-    ]
-    rref, pivots = _rref(matrix)
-    pivot_set = set(pivots)
-    free = [j for j in range(len(monos)) if j not in pivot_set]
+    pivots = _sparse_rref(_lowering_rows(L, mu, monos).values())
     basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * len(monos)
-        vec[fcol] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][fcol]
-        poly = EvenPolynomial(
-            mu.dim, {monos[j]: vec[j] for j in range(len(monos)) if vec[j] != 0}
-        )
-        basis.append(SymbolicHFunction(mu, poly, 0))
+    for fcol in range(len(monos)):
+        if fcol in pivots:
+            continue
+        vec = {fcol: Fraction(1)}
+        for p, row in pivots.items():
+            if fcol in row:
+                vec[p] = -row[fcol]
+        coeffs = {monos[j]: vec[j] for j in sorted(vec)}
+        basis.append(SymbolicHFunction(mu, EvenPolynomial(mu.dim, coeffs), 0))
     return basis
 
 

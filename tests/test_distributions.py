@@ -80,6 +80,18 @@ def test_richardson_divergence():
         richardson_limit([1.0, 1.0])  # too short for the default levels
 
 
+def test_richardson_noise_floor():
+    # growing differences within the floor are rounding noise, not divergence
+    noise = [1e-22, -3e-22, 5e-22, -9e-22, 2e-21, -5e-21]
+    with pytest.raises(ExtrapolationDiverged):
+        richardson_limit(noise)
+    est, _ = richardson_limit(noise, floor=1e-20)
+    assert abs(est) < 1e-19
+    # a ladder that grows above the floor still diverges
+    with pytest.raises(ExtrapolationDiverged):
+        richardson_limit([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], floor=1.0)
+
+
 # ---------------------------------------------------------------------------
 # delta pairings
 
@@ -210,6 +222,22 @@ def test_pair_delta_transform_2d():
     for k in [(0, 0), (1, 1)]:
         out = pair_delta_transform(k, mu, phi)
         assert abs(out["lhs"] - out["rhs"]) <= 1e-5 * max(abs(out["rhs"]), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, mu, decay, terms",
+    [
+        ((1, 1), ["0", "-1/2"], Fraction(1, 3), {(0, 0): Fraction(3, 2), (0, 1): 1, (1, 0): -1}),
+        ((1, 2), ["5/2", "3/2"], Fraction(2), {(0, 1): -2, (1, 0): 2}),
+    ],
+    ids=["k11", "k12"],
+)
+def test_pair_delta_transform_zero_identity(k, mu, decay, terms):
+    """When the identity's value is 0 the ladder is pure rounding noise,
+    which must not read as divergence."""
+    phi = SymbolicHFunction(MuVector(mu), EvenPolynomial(2, terms), decay)
+    out = pair_delta_transform(k, mu, phi)
+    assert abs(out["lhs"]) < 1e-12 and abs(out["rhs"]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from hankelc import (
     default_rule_for,
     default_weak_family,
     hankel_nd,
+    liouville,
     liouville_solve,
     weak_spectral_check,
 )
@@ -107,6 +108,19 @@ def test_weak_family_reproducible():
     fam3 = default_weak_family(["1/2", "0"], count=6, seed=43)
     assert any(a != b for a, b in zip(fam1, fam3))
     assert all(f.decay == Fraction(1, 2) for f in fam1)
+
+
+def test_weak_defaults_built_once():
+    fam = default_weak_family(["1/2", "0"], count=6, seed=42)
+    assert isinstance(fam, tuple)
+    assert default_weak_family(MuVector(["1/2", "0"]), count=6, seed=42) is fam
+    # a float order gets its own members, whose orders stay floats
+    floats = default_weak_family([0.5, 0.0], count=6, seed=42)
+    assert floats is not fam
+    assert all(type(m) is float for f in floats for m in f.mu)
+    rule = liouville._default_weak_rule()
+    assert rule is liouville._default_weak_rule()
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
 def test_skip_weak_and_json():

@@ -22,6 +22,7 @@ from hankelc import (
     GridSpec,
     MuVector,
     SymbolicHFunction,
+    apply_Tk,
     default_sup_grid,
     grid_supremum,
     lambda_gamma_bound_terms,
@@ -147,3 +148,36 @@ def test_gamma_finds_supremum_on_a_face():
     want = float(face.max())
     got = seminorm_gamma(2, (0, 1), ["3/2", "0"], f)
     assert want * (1 - 1e-9) <= got <= want * (1 + 1e-9)
+
+
+F = Fraction
+# (m, k, mu, decay, terms of Q): gamma_{m,k} of x^(mu+1/2) Q(x^2) e^{-c|x|^2}
+# where a search polished only from the grid argmax, by at most about two
+# grid steps, stopped short of the supremum: the top lies on another hump
+# the grid sampled a little lower, or many grid steps along a flat ridge
+_MISSED_TOPS = [
+    (2, (1, 1), ["3/2", "5/2"], F(1, 3),
+     {(0, 1): F(-5, 4), (2, 0): F(-4, 3), (2, 1): F(3), (3, 0): F(4, 3)}),
+    (1, (1, 1), ["0", "1/2"], F(1, 3), {(0, 0): F(2), (0, 2): F(-5, 2), (1, 1): F(-1)}),
+    (1, (1, 0), ["0", "5/2"], F(1, 3), {(1, 1): F(-5), (1, 2): F(3, 2), (2, 1): F(3)}),
+    (2, (1, 1), ["0", "1/2"], F(2), {(0, 0): F(-1), (0, 1): F(-2, 3), (1, 0): F(-5)}),
+    (1, (1,), ["3/2"], F(1, 3), {(0,): F(-1, 2), (1,): F(-2), (2,): F(4, 3)}),
+]
+
+
+@pytest.mark.parametrize(
+    "m, k, mu, decay, terms",
+    _MISSED_TOPS,
+    ids=["2d-second-hump", "2d-face-w1", "2d-ridge", "2d-face-w2", "1d"],
+)
+def test_gamma_reaches_dense_grid_supremum(m, k, mu, decay, terms):
+    """gamma_{m,k} on its default grid reaches, from below, the largest
+    sample of the weighted function on a much denser grid."""
+    n = len(mu)
+    f = SymbolicHFunction(MuVector(mu), EvenPolynomial(n, terms), decay)
+    axis = np.geomspace(1e-3, 40.0, 1000 if n == 2 else 100_000)
+    mesh = np.meshgrid(*[axis] * n, indexing="ij")
+    weight = (1 + sum(c * c for c in mesh)) ** m
+    want = float(np.max(weight * np.abs(apply_Tk(k, f.u).evaluate(mesh))))
+    got = seminorm_gamma(m, k, mu, f)
+    assert want * (1 - 1e-9) <= got <= want * (1 + 1e-4)

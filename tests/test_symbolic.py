@@ -26,9 +26,11 @@ from hankelc import (
     koh_zemanian_coeffs,
     koh_zemanian_coeffs_nd,
     leibniz_Tk,
+    liouville_solve,
+    symbolic,
 )
 from hankelc.multiindex import mi_graded_enumerate
-from hankelc.symbolic import _simplex_lattice
+from hankelc.symbolic import _lowering_rows, _simplex_lattice
 
 
 def _random_poly(rng, dim, degree, density=0.6):
@@ -279,6 +281,139 @@ def test_kernel_images_vanish():
     P = OperatorPoly(2, {(1, 0): 1, (0, 1): 1})
     for b in kernel_basis(P, mu, 3):
         assert apply_L(P, b).poly.is_zero
+
+
+def _dense_rref(rows):
+    """Reference: dense reduced row echelon form over Fractions; returns
+    (rref, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _apply_l_matrix(P, mu, monos):
+    """Reference: L's matrix on the monomials, column j from apply_L."""
+    row_of = {m: i for i, m in enumerate(monos)}
+    matrix = [[Fraction(0)] * len(monos) for _ in monos]
+    for j, m in enumerate(monos):
+        g = apply_L(P, SymbolicHFunction(mu, EvenPolynomial.monomial(m), 0))
+        for key, v in g.poly.items():
+            matrix[row_of[key]][j] = v
+    return matrix
+
+
+def _reference_kernel_basis(P, mu, max_degree):
+    """The kernel solve through apply_L columns and a dense RREF."""
+    mu = MuVector(mu)
+    monos = mi_graded_enumerate(mu.dim, max_degree)
+    rref, pivots = _dense_rref(_apply_l_matrix(P, mu, monos))
+    basis = []
+    for fcol in (j for j in range(len(monos)) if j not in pivots):
+        vec = {monos[fcol]: Fraction(1)}
+        for r, p in enumerate(pivots):
+            vec[monos[p]] = -rref[r][fcol]
+        basis.append(EvenPolynomial(mu.dim, vec))
+    return basis
+
+
+F = Fraction
+_SOLVE_CASES = [
+    ({(1,): 1}, [F(1, 3)], 8),
+    ({(0,): 2, (3,): F(1, 2)}, [F(-1, 2)], 8),
+    ({(1, 0): 1, (0, 1): 1}, [F(1, 2), F(1, 2)], 8),
+    ({(1, 0): 3, (0, 1): 1, (2, 0): 2, (1, 1): 5, (0, 2): 1}, [F(1, 3), F(-1, 4)], 8),
+    ({(0, 0): F(1, 5), (1, 0): 1, (0, 1): 2}, [F(3, 2), F(2)], 6),
+    ({(2, 0): 1, (0, 2): F(7, 3)}, [F(0), F(5, 2)], 8),
+    ({(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}, [F(1, 8), F(1, 2), F(5, 2)], 6),
+    ({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, [F(1, 2)] * 3, 4),
+    (
+        {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): F(1, 2), (0, 0, 0, 2): 1},
+        [F(0), F(1, 2), F(3, 4), F(-1, 2)],
+        6,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, mu, degree",
+    _SOLVE_CASES,
+    ids=["1d", "1d-const", "2d", "2d-mixed", "2d-const", "2d-squares", "3d", "3d-const", "4d"],
+)
+def test_kernel_basis_matches_dense_reference(coeffs, mu, degree):
+    P = OperatorPoly(len(mu), coeffs)
+    got = [b.poly for b in kernel_basis(P, MuVector(mu), degree)]
+    assert got == _reference_kernel_basis(P, mu, degree)
+    assert got or any(sum(k) == 0 for k in coeffs)
+
+
+def test_lowering_rows_match_apply_l_columns():
+    """The closed-form matrix equals the one apply_L builds from powers of
+    apply_S, entry by entry, for random operators, orders and monomials."""
+    rng = random.Random(29)
+    for _ in range(16):
+        dim = rng.randint(1, 3)
+        mu = MuVector([F(rng.randint(-2, 9), rng.randint(4, 8)) for _ in range(dim)])
+        coeffs = dict(_random_poly(rng, dim, 3).items()) or {(1,) * dim: 1}
+        P = OperatorPoly(dim, coeffs)
+        monos = mi_graded_enumerate(dim, rng.randint(2, 5))
+        row_of = {m: i for i, m in enumerate(monos)}
+        want = {
+            (i, j): v
+            for i, row in enumerate(_apply_l_matrix(P, mu, monos))
+            for j, v in enumerate(row)
+            if v != 0
+        }
+        got = {
+            (row_of[r], j): v
+            for r, row in _lowering_rows(P, mu, monos).items()
+            for j, v in row.items()
+        }
+        assert got == want
+
+
+def test_kernel_basis_reads_float_coefficients_exactly():
+    mu = MuVector(["1/2", "3/2"])
+    floats = OperatorPoly(2, {(1, 0): 0.1, (0, 1): 1 / 3, (1, 1): 1e-300})
+    exact = OperatorPoly(2, {k: Fraction(v) for k, v in floats.items()})
+    got = kernel_basis(floats, mu, 4)
+    assert got == kernel_basis(exact, mu, 4)
+    assert all(isinstance(v, Fraction) for b in got for _, v in b.poly.items())
+
+
+def _wrong_lowering_rows(P, mu, monos):
+    """_lowering_rows with the coefficient 4k(k + mu + 1) in place of
+    4k(k + mu)."""
+    return _lowering_rows(P, MuVector([m + 1 for m in mu]), monos)
+
+
+def test_wrong_lowering_rule_fails_apply_l(monkeypatch):
+    """Negative control: a kernel solved from a wrong lowering rule is
+    caught by apply_L, through kernel_basis and liouville_solve alike."""
+    mu = MuVector(["1/2", "3/2"])
+    P = OperatorPoly(2, {(1, 0): 1, (0, 1): 2})
+    assert all(apply_L(P, b).poly.is_zero for b in kernel_basis(P, mu, 4))
+    monkeypatch.setattr(symbolic, "_lowering_rows", _wrong_lowering_rows)
+    assert not all(apply_L(P, b).poly.is_zero for b in kernel_basis(P, mu, 4))
+    _, cert = liouville_solve(P, mu, 4, skip_weak=True)
+    assert not cert.consistent
 
 
 def test_kernel_requires_rational_orders():
