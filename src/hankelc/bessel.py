@@ -246,6 +246,8 @@ def _checked_argument(nu, z, z_max: float):
     arr = np.atleast_1d(arr)
     if arr.size:
         lo, hi = float(arr.min()), float(arr.max())
+        if math.isnan(lo):
+            raise DomainError("argument is NaN")
         if lo < 0.0:
             raise DomainError(f"argument {lo} < 0")
         if hi > z_max:

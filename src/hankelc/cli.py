@@ -42,7 +42,13 @@ from .liouville import liouville_solve
 from .multiindex import MultiIndex
 from .quadrature import GridSpec, build_quadrature
 from .seminorms import seminorm_gamma, seminorm_lambda, seminorm_rho
-from .symbolic import EvenPolynomial, EvenRational, OperatorPoly, SymbolicHFunction
+from .symbolic import (
+    EvenPolynomial,
+    EvenRational,
+    OperatorPoly,
+    SymbolicHFunction,
+    _terms_from_json,
+)
 from .transform import default_rule_for, hankel_nd
 from .verify import SUITES, run_all
 
@@ -74,15 +80,11 @@ def _require_object(value, what: str, allowed: set) -> dict:
     return value
 
 
-def _require_terms(value, what: str, key: str) -> list:
-    if not isinstance(value, list) or not value:
+def _require_terms(value, what: str, key: str) -> dict:
+    """Coefficient map of a nonempty JSON term list."""
+    if not value:
         raise SpecError(f"'{what}' must be a nonempty list of terms")
-    for term in value:
-        if not isinstance(term, dict) or not isinstance(term.get("k"), list):
-            raise SpecError(f"each '{what}' term needs a 'k' list")
-        if key not in term:
-            raise SpecError(f"each '{what}' term needs a '{key}' coefficient")
-    return value
+    return _terms_from_json(value, key)
 
 
 def _spec_mu(data: dict) -> MuVector:
@@ -100,8 +102,7 @@ def _spec_function(data: dict, mu: MuVector) -> SymbolicHFunction:
     _require_object(fdata, "function", {"decay", "terms"})
     if "terms" not in fdata:
         raise SpecError("'function' needs a 'terms' list")
-    terms = _require_terms(fdata["terms"], "function.terms", key="q")
-    poly = EvenPolynomial.from_json_terms(mu.dim, terms, key="q")
+    poly = EvenPolynomial(mu.dim, _require_terms(fdata["terms"], "function.terms", "q"))
     return SymbolicHFunction(mu, poly, fdata.get("decay", 0))
 
 
@@ -112,8 +113,7 @@ def _spec_operator(data: dict, dim: int) -> OperatorPoly:
     _require_object(odata, "operator", {"terms"})
     if "terms" not in odata:
         raise SpecError("'operator' needs a 'terms' list")
-    terms = _require_terms(odata["terms"], "operator.terms", key="a")
-    return OperatorPoly.from_json({"dim": dim, "terms": terms})
+    return OperatorPoly(dim, _require_terms(odata["terms"], "operator.terms", "a"))
 
 
 def _spec_window(data: dict):
@@ -131,13 +131,12 @@ def _spec_multiplier(data: dict) -> MultiplierForm:
     _require_object(mdata, "multiplier", {"numer", "denom", "power"})
     if "numer" not in mdata:
         raise SpecError("'multiplier' needs a nonempty 'numer' list")
-    numer_terms = _require_terms(mdata["numer"], "multiplier.numer", key="q")
-    dim = len(numer_terms[0]["k"])
-    numer = EvenPolynomial.from_json_terms(dim, numer_terms, key="q")
+    numer_terms = _require_terms(mdata["numer"], "multiplier.numer", "q")
+    dim = len(next(iter(numer_terms)))
+    numer = EvenPolynomial(dim, numer_terms)
     window = _spec_window(data)
     if "denom" in mdata:
-        denom_terms = _require_terms(mdata["denom"], "multiplier.denom", key="q")
-        denom = EvenPolynomial.from_json_terms(dim, denom_terms, key="q")
+        denom = EvenPolynomial(dim, _require_terms(mdata["denom"], "multiplier.denom", "q"))
         rational = EvenRational(numer, denom, mdata.get("power", 1))
     else:
         if "power" in mdata:

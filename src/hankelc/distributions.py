@@ -316,17 +316,7 @@ class DeltaCombination:
 
     def __init__(self, mu, terms):
         self.mu = MuVector(mu)
-        clean = {}
-        for k, c in dict(terms).items():
-            k = MultiIndex(k)
-            if k.dim != self.mu.dim:
-                raise DimensionMismatch(
-                    f"term {tuple(k)} has dimension {k.dim}, expected {self.mu.dim}"
-                )
-            c = float(c) if not isinstance(c, Fraction) else c
-            if c != 0:
-                clean[k] = c
-        self.terms = clean
+        self.terms = EvenPolynomial(self.mu.dim, dict(terms))._coeffs
 
     @property
     def dim(self) -> int:
@@ -342,8 +332,8 @@ class DeltaCombination:
 
     def transform(self) -> SymbolicHFunction:
         """Symbolic transform: sum_k c_k c^mu_k t^(mu+2k+1/2)."""
-        poly = EvenPolynomial(
-            self.dim, {k: c * c_k_mu(self.mu, k) for k, c in self.terms.items()}
+        poly = EvenPolynomial._of(
+            self.dim, ((k, c * c_k_mu(self.mu, k)) for k, c in self.terms.items())
         )
         return SymbolicHFunction(self.mu, poly, 0)
 

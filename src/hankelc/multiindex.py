@@ -25,9 +25,12 @@ __all__ = [
 
 
 class MultiIndex(tuple):
-    """Immutable tuple of nonnegative integers with componentwise arithmetic."""
+    """Immutable tuple of nonnegative integers with componentwise arithmetic;
+    an existing MultiIndex is returned as it is."""
 
     def __new__(cls, entries):
+        if isinstance(entries, MultiIndex):
+            return entries
         vals = []
         for i, v in enumerate(entries):
             if type(v) is not int:
@@ -76,7 +79,7 @@ class MultiIndex(tuple):
 
 
 def _coerce(k, like: MultiIndex) -> MultiIndex:
-    k = k if isinstance(k, MultiIndex) else MultiIndex(k)
+    k = MultiIndex(k)
     if len(k) != len(like):
         raise DimensionMismatch(
             f"multi-index dimensions differ: {len(like)} vs {len(k)}"
@@ -98,7 +101,7 @@ def unit_index(n: int, axis: int) -> MultiIndex:
 
 def mi_factorial(k) -> int:
     """Componentwise factorial k! = k_1! * ... * k_n!."""
-    k = k if isinstance(k, MultiIndex) else MultiIndex(k)
+    k = MultiIndex(k)
     out = 1
     for v in k:
         out *= math.factorial(v)
@@ -110,7 +113,7 @@ def mi_binomial(k, j) -> int:
 
     Raises ComponentExceeds when some j_i > k_i.
     """
-    k = k if isinstance(k, MultiIndex) else MultiIndex(k)
+    k = MultiIndex(k)
     j = _coerce(j, k)
     out = 1
     for i, (a, b) in enumerate(zip(k, j)):
@@ -122,7 +125,7 @@ def mi_binomial(k, j) -> int:
 
 def mi_below(k) -> list[MultiIndex]:
     """All multi-indices j <= k componentwise, in graded-lex order."""
-    k = k if isinstance(k, MultiIndex) else MultiIndex(k)
+    k = MultiIndex(k)
     ranges = [range(v + 1) for v in k]
     out = [MultiIndex(j) for j in product(*ranges)]
     out.sort(key=graded_key)

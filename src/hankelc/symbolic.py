@@ -54,10 +54,15 @@ __all__ = [
 
 
 def _terms_from_json(terms, key) -> dict:
-    """Coefficient map of JSON terms {"k": [...], key: value}; any other
-    term key and any repeated index raise DomainError."""
+    """Coefficient map of JSON terms [{"k": [...], key: value}, ...]; a term
+    that is not such an object, any other term key and any repeated index
+    raise DomainError."""
+    if not isinstance(terms, list):
+        raise DomainError("terms must be a list of objects")
     coeffs = {}
     for t in terms:
+        if not isinstance(t, dict) or not isinstance(t.get("k"), list) or key not in t:
+            raise DomainError(f"each term needs a 'k' list and a '{key}' coefficient")
         extra = sorted(set(t) - {"k", key})
         if extra:
             raise DomainError(f"unknown term keys: {extra}")
@@ -66,6 +71,21 @@ def _terms_from_json(terms, key) -> dict:
             raise DomainError(f"duplicate term {list(k)}")
         coeffs[k] = t[key]
     return coeffs
+
+
+def _sum_terms(pairs) -> dict:
+    """Sum (index, coefficient) pairs per index, in first-seen order, and
+    drop the zero sums.  A float sum that is not finite (an overflow in the
+    arithmetic that produced the pairs) raises NumericError."""
+    out = {}
+    for k, v in pairs:
+        out[k] = out[k] + v if k in out else v
+    for k, v in list(out.items()):
+        if not v:
+            del out[k]
+        elif isinstance(v, float) and not math.isfinite(v):
+            raise NumericError(f"coefficient of s^{tuple(k)} overflowed to {v}")
+    return out
 
 
 def _coeff_to_json(v):
@@ -84,20 +104,24 @@ class EvenPolynomial:
         if dim < 1:
             raise DomainError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
-        clean: dict[MultiIndex, object] = {}
+        pairs = []
         for k, v in (coeffs or {}).items():
             k = MultiIndex(k)
             if k.dim != dim:
                 raise DimensionMismatch(
                     f"term {tuple(k)} has dimension {k.dim}, expected {dim}"
                 )
-            c = _coeff(v)
-            if c != 0:
-                prev = clean.get(k)
-                clean[k] = c if prev is None else prev + c
-                if clean[k] == 0:
-                    del clean[k]
-        self._coeffs = clean
+            pairs.append((k, _coeff(v)))
+        self._coeffs = _sum_terms(pairs)
+
+    @staticmethod
+    def _of(dim: int, pairs) -> "EvenPolynomial":
+        """The polynomial summing (index, coefficient) pairs that are
+        already valid: the result of an operation, not outside input."""
+        out = object.__new__(EvenPolynomial)
+        out.dim = dim
+        out._coeffs = _sum_terms(pairs)
+        return out
 
     @classmethod
     def zero(cls, dim: int) -> "EvenPolynomial":
@@ -145,41 +169,42 @@ class EvenPolynomial:
 
     def __add__(self, other):
         self._check_dim(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return EvenPolynomial(self.dim, out)
+        return EvenPolynomial._of(
+            self.dim, itertools.chain(self._coeffs.items(), other._coeffs.items())
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return EvenPolynomial(self.dim, {k: -v for k, v in self._coeffs.items()})
+        return EvenPolynomial._of(self.dim, ((k, -v) for k, v in self._coeffs.items()))
 
     def scale(self, factor) -> "EvenPolynomial":
         factor = _coeff(factor)
-        return EvenPolynomial(
-            self.dim, {k: v * factor for k, v in self._coeffs.items()}
+        return EvenPolynomial._of(
+            self.dim, ((k, v * factor) for k, v in self._coeffs.items())
         )
 
     def __mul__(self, other):
         if not isinstance(other, EvenPolynomial):
             return self.scale(other)
         self._check_dim(other)
-        out: dict[MultiIndex, object] = {}
-        for ka, va in self._coeffs.items():
-            for kb, vb in other._coeffs.items():
-                key = ka + kb
-                out[key] = out.get(key, Fraction(0)) + va * vb
-        return EvenPolynomial(self.dim, out)
+        return EvenPolynomial._of(
+            self.dim,
+            (
+                (ka + kb, va * vb)
+                for ka, va in self._coeffs.items()
+                for kb, vb in other._coeffs.items()
+            ),
+        )
 
     __rmul__ = __mul__
 
     def shift(self, k) -> "EvenPolynomial":
         """Multiply by the monomial s^k."""
         k = MultiIndex(k)
-        return EvenPolynomial(
-            self.dim, {key + k: v for key, v in self._coeffs.items()}
+        return EvenPolynomial._of(
+            self.dim, ((key + k, v) for key, v in self._coeffs.items())
         )
 
     def evaluate(self, squares):
@@ -365,17 +390,16 @@ def apply_T(axis: int, u: GaussianPolynomial) -> GaussianPolynomial:
     if not 0 <= axis < n:
         raise DomainError(f"axis {axis} outside range(0, {n})")
     e = unit_index(n, axis)
-    out: dict[MultiIndex, object] = {}
     two_c = 2 * u.decay
-    for k, q in u.poly._coeffs.items():
-        if k[axis] >= 1:
-            key = k - e
-            out[key] = out.get(key, Fraction(0)) + 2 * k[axis] * q
-        if two_c != 0:
-            out[k] = out.get(k, Fraction(0)) - two_c * q
-    if any(isinstance(v, float) and not math.isfinite(v) for v in out.values()):
-        raise NumericError(f"T_{axis} overflowed a float coefficient")
-    return GaussianPolynomial(EvenPolynomial(n, out), u.decay)
+
+    def terms():
+        for k, q in u.poly._coeffs.items():
+            if k[axis]:
+                yield k - e, 2 * k[axis] * q
+            if two_c:
+                yield k, -two_c * q
+
+    return GaussianPolynomial(EvenPolynomial._of(n, terms()), u.decay)
 
 
 def apply_Tk(k, u: GaussianPolynomial) -> GaussianPolynomial:
@@ -399,12 +423,14 @@ def leibniz_Tk(
         raise DimensionMismatch(f"dimensions {theta.dim} and {phi.dim}")
     if k.dim != theta.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, factors {theta.dim}")
-    total = None
+    pairs = []
     for j in mi_below(k):
-        term = apply_Tk(k - j, theta) * apply_Tk(j, phi)
-        term = mi_binomial(k, j) * term
-        total = term if total is None else total + term
-    return total
+        c = mi_binomial(k, j)
+        term = apply_Tk(k - j, theta).poly * apply_Tk(j, phi).poly
+        pairs.extend((m, c * v) for m, v in term._coeffs.items())
+    return GaussianPolynomial(
+        EvenPolynomial._of(theta.dim, pairs), theta.decay + phi.decay
+    )
 
 
 def apply_S(axis: int, f: SymbolicHFunction) -> SymbolicHFunction:
@@ -457,13 +483,13 @@ class OperatorPoly(EvenPolynomial):
 
     @classmethod
     def from_json(cls, data: dict) -> "OperatorPoly":
+        coeffs = _terms_from_json(data["terms"], "a")
         dim = data.get("dim")
-        terms = data["terms"]
         if dim is None:
-            if not terms:
+            if not coeffs:
                 raise DomainError("cannot infer dimension from empty terms")
-            dim = len(terms[0]["k"])
-        return cls(dim, _terms_from_json(terms, "a"))
+            dim = len(next(iter(coeffs)))
+        return cls(dim, coeffs)
 
     def __repr__(self):
         body = " + ".join(f"{v}*x^{tuple(k)}" for k, v in self.items())
@@ -474,63 +500,33 @@ def apply_L(L: OperatorPoly, f: SymbolicHFunction) -> SymbolicHFunction:
     """Apply L = sum (-1)^|alpha| a_alpha S^alpha to a family member."""
     if L.dim != f.dim:
         raise DimensionMismatch(f"operator dimension {L.dim}, function {f.dim}")
-    total = None
+    pairs = []
     for alpha, a in L.items():
-        term = apply_Sk(alpha, f)
         sign = -a if alpha.order % 2 else a
-        term = term.scale(sign)
-        total = term if total is None else total + term
-    return total
+        pairs.extend((m, v * sign) for m, v in apply_Sk(alpha, f).poly._coeffs.items())
+    return SymbolicHFunction(f.mu, EvenPolynomial._of(f.dim, pairs), f.decay)
 
 
 # ---------------------------------------------------------------------------
 # Normal-ordered expansion of S^k in terms of x^(2l) T^(k+l)
 
 
-def _falling(a: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= a - i
-    return out
-
-
-def _compose_1d(A: dict, B: dict) -> dict:
-    """Product of normal-ordered 1-D operators sum c[(a,b)] x^(2a) T^b.
-
-    Uses T^b x^(2a) = sum_j C(b,j) 2^j a!/(a-j)! x^(2(a-j)) T^(b-j).
-    """
-    out: dict[tuple, object] = {}
-    for (a1, b1), c1 in A.items():
-        for (a2, b2), c2 in B.items():
-            for j in range(min(b1, a2) + 1):
-                w = math.comb(b1, j) * (2**j) * _falling(a2, j)
-                key = (a1 + a2 - j, b1 - j + b2)
-                val = out.get(key, Fraction(0)) + c1 * c2 * w
-                if val == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-    return out
-
-
 def koh_zemanian_coeffs(k: int, mu_axis) -> dict:
     """Coefficients b_{l,k} with S^k u-side = sum_l b_{l,k} x^(2l) T^(k+l).
 
-    One axis; mu_axis is that axis's order.  For k = 1 this returns
-    {0: 2(mu+1), 1: 1}.
+    One axis; mu_axis is that axis's order.  The closed form is
+    b_{l,k} = 2^(k-l) C(k,l) (mu+l+1)(mu+l+2)...(mu+k), so for k = 1 this
+    returns {0: 2(mu+1), 1: 1}.
     """
     if k < 0:
         raise DomainError(f"power must be >= 0, got {k}")
     mu_axis = _coeff(mu_axis) if not isinstance(mu_axis, float) else mu_axis
-    op = {(0, 0): Fraction(1)}
-    base = {(1, 2): Fraction(1), (0, 1): 2 * (mu_axis + 1)}
-    for _ in range(k):
-        op = _compose_1d(base, op)
     out = {}
-    for (a, b), c in op.items():
-        if b - a != k:
-            raise DomainError("normal ordering produced an unexpected term")
-        out[a] = c
+    for l in range(k + 1):
+        b = Fraction(2 ** (k - l) * math.comb(k, l))
+        for j in range(l + 1, k + 1):
+            b *= mu_axis + j
+        out[l] = b
     return out
 
 

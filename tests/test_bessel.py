@@ -97,6 +97,13 @@ def test_bessel_domain():
     assert bessel_j(0.5, 250.0, z_max=300.0) == pytest.approx(sps.jv(0.5, 250.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("fn", [bessel_j, reduced_bessel])
+@pytest.mark.parametrize("z", [math.nan, np.array([1.0, math.nan, 20.0])], ids=["scalar", "array"])
+def test_nan_argument_is_a_domain_error(fn, z):
+    with pytest.raises(DomainError):
+        fn(0.5, z)
+
+
 def test_reduced_bessel_finite_at_zero():
     for nu in (-0.5, 0.0, 0.5, 2.0):
         want = 1.0 / (2.0**nu * math.gamma(nu + 1.0))

@@ -403,8 +403,12 @@ _HUGE = '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [%s]}}' % ", ".jo
             '{"mu": ["1/2"], "function": {"decay": 1e300, "terms": [{"k": [0], "q": 1e300}]}}',
             ["taylor", "--order", "2", "--method", "exact"],
         ),
+        (
+            '{"mu": ["5/2"], "function": {"decay": "1/3", "terms": [{"k": [0], "q": 1.7e308}]}}',
+            ["seminorm", "--kind", "lambda", "-m", "0", "-k", "1"],
+        ),
     ],
-    ids=["transform-json", "transform-csv", "seminorm-nan", "taylor-exact-overflow"],
+    ids=["transform-json", "transform-csv", "seminorm-nan", "taylor-exact-overflow", "seminorm-lambda-overflow"],
 )
 def test_non_finite_result_exit_3(tmp_path, spec, argv, capsys):
     path = tmp_path / "spec.json"

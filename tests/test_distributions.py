@@ -256,6 +256,29 @@ def test_delta_combination_drops_zero_terms():
     assert list(comb.terms) == [MultiIndex((0,))]
 
 
+@pytest.mark.parametrize("c", [math.nan, True], ids=["nan", "bool"])
+def test_delta_combination_rejects_bad_coefficients(c):
+    with pytest.raises(DomainError):
+        DeltaCombination(["1/2"], {(0,): c})
+
+
+def test_delta_combination_reads_rational_strings():
+    comb = DeltaCombination(["1/2"], {(0,): "1/2"})
+    assert comb.terms == {MultiIndex((0,)): Fraction(1, 2)}
+    assert type(comb.terms) is dict
+    back = DeltaCombination.from_json({"mu": ["1/2"], "terms": [{"k": [0], "c": "1/2"}]})
+    assert back == comb
+
+
+@pytest.mark.parametrize(
+    "terms", [[{"k": [0]}], [{"c": 1}], [3], {"k": [0], "c": 1}],
+    ids=["c-missing", "k-missing", "int-term", "not-a-list"],
+)
+def test_delta_combination_json_schema_is_a_domain_error(terms):
+    with pytest.raises(DomainError):
+        DeltaCombination.from_json({"mu": ["1/2"], "terms": terms})
+
+
 def test_delta_combination_pair_linear():
     phi = _gauss(["1/2"])
     comb = DeltaCombination(["1/2"], {(0,): 2.0, (1,): 3.0})

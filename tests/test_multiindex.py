@@ -23,6 +23,11 @@ def test_rejects_invalid_entries(bad):
         MultiIndex(bad)
 
 
+def test_existing_index_is_returned_as_is():
+    m = MultiIndex((2, 0, 1))
+    assert MultiIndex(m) is m
+
+
 def test_componentwise_arithmetic():
     a = MultiIndex((2, 1))
     b = MultiIndex((1, 1))

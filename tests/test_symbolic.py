@@ -14,6 +14,7 @@ from hankelc import (
     GaussianPolynomial,
     MuVector,
     MultiIndex,
+    NumericError,
     OperatorPoly,
     SymbolicHFunction,
     apply_L,
@@ -92,6 +93,49 @@ def test_zero_members_hash_alike_whatever_the_decay():
     # nonzero members still tell decays apart
     one = EvenPolynomial.constant(1, 1)
     assert len({GaussianPolynomial(one, Fraction(1, 2)), GaussianPolynomial(one, Fraction(1, 3))}) == 2
+
+
+_HUGE = EvenPolynomial(1, {(0,): 1e308, (1,): 1e308})
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: _HUGE * _HUGE,
+        lambda: _HUGE + _HUGE,
+        lambda: _HUGE.scale(10),
+        lambda: apply_T(0, GaussianPolynomial(_HUGE, 1e10)),
+        lambda: apply_L(OperatorPoly(1, {(0,): 1e300}), SymbolicHFunction([2.5], _HUGE, 0)),
+        # both product-rule terms are 1.2e308 s; only their sum overflows
+        lambda: leibniz_Tk(
+            (1,),
+            GaussianPolynomial(EvenPolynomial(1, {(1,): 0.6e308})),
+            GaussianPolynomial(EvenPolynomial.monomial((1,))),
+        ),
+    ],
+    ids=["mul", "add", "scale", "apply_T", "apply_L", "leibniz"],
+)
+def test_float_overflow_is_a_numeric_error(op):
+    with pytest.raises(NumericError):
+        op()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_input_is_a_domain_error(value):
+    with pytest.raises(DomainError):
+        EvenPolynomial(1, {(0,): value})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[5], 7, [{"k": 5, "q": 1}], [{"q": 1}], [{"k": [1]}], [{"k": [0], "q": 1, "a": 2}]],
+    ids=["int-term", "not-a-list", "k-not-a-list", "k-missing", "q-missing", "extra-key"],
+)
+def test_json_terms_schema_is_a_domain_error(terms):
+    with pytest.raises(DomainError):
+        SymbolicHFunction.from_json({"mu": ["1/2"], "terms": terms})
+    with pytest.raises(DomainError):
+        OperatorPoly.from_json({"terms": terms})
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +261,45 @@ def test_kz_leading_coefficient():
             want *= mu + j
         assert table[0] == want
         assert table[k] == 1
+
+
+def _compose_1d(A: dict, B: dict) -> dict:
+    """Product of normal-ordered 1-D operators sum c[(a,b)] x^(2a) T^b.
+
+    Uses T^b x^(2a) = sum_j C(b,j) 2^j a!/(a-j)! x^(2(a-j)) T^(b-j).
+    """
+    out: dict[tuple, object] = {}
+    for (a1, b1), c1 in A.items():
+        for (a2, b2), c2 in B.items():
+            for j in range(min(b1, a2) + 1):
+                w = math.comb(b1, j) * (2**j) * math.perm(a2, j)
+                key = (a1 + a2 - j, b1 - j + b2)
+                val = out.get(key, Fraction(0)) + c1 * c2 * w
+                if val == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = val
+    return out
+
+
+def _reference_kz(k: int, mu) -> dict:
+    """b_{l,k} by composing S = x^2 T^2 + 2(mu+1) T with itself k times."""
+    op = {(0, 0): Fraction(1)}
+    base = {(1, 2): Fraction(1), (0, 1): 2 * (mu + 1)}
+    for _ in range(k):
+        op = _compose_1d(base, op)
+    assert all(b - a == k for a, b in op)
+    return {a: c for (a, b), c in op.items()}
+
+
+@pytest.mark.parametrize(
+    "mu", [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(7, 3), Fraction(15, 2)]
+)
+def test_kz_closed_form_matches_composer(mu):
+    for k in range(9):
+        table = koh_zemanian_coeffs(k, mu)
+        assert table == _reference_kz(k, mu)
+        assert all(isinstance(b, Fraction) for b in table.values())
 
 
 def test_kz_expansion_matches_s_power():
