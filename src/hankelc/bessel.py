@@ -17,11 +17,12 @@ All entry points accept scalars or numpy arrays for z.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .multiindex import MultiIndex
 
 __all__ = [
@@ -43,15 +44,16 @@ _GAMMA_MAX = 171.5
 def _coeff(v):
     """Coerce a coefficient: exact types become Fraction, floats stay.
 
-    Booleans, non-finite floats and strings that are not a finite
-    rational (such as "1/0" or "abc") raise DomainError.
+    Integers of any type (numpy's included) become Fractions and any
+    other real a float.  Booleans, non-finite reals and strings that are
+    not a finite rational (such as "1/0" or "abc") raise DomainError.
     """
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         raise DomainError(f"coefficient must be a number, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
+    if isinstance(v, numbers.Integral):
+        return Fraction(int(v))
     if isinstance(v, str):
         try:
             q = Fraction(v)
@@ -59,10 +61,10 @@ def _coeff(v):
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"bad coefficient {v!r}: {exc}") from None
         return q
-    if isinstance(v, float):
+    if isinstance(v, numbers.Real):
         if not math.isfinite(v):
             raise DomainError(f"coefficient must be finite, got {v!r}")
-        return v
+        return v if isinstance(v, float) else float(v)
     raise DomainError(f"unsupported coefficient type {type(v)!r}")
 
 
@@ -101,9 +103,7 @@ class MuVector(tuple):
         """The componentwise shift mu + k by a multi-index."""
         k = MultiIndex(k)
         if len(k) != len(self):
-            raise DomainError(
-                f"dimension mismatch: order vector {len(self)}, index {len(k)}"
-            )
+            raise DimensionMismatch(f"order vector {len(self)}, index {len(k)}")
         return MuVector(tuple(m + int(v) for m, v in zip(self, k)))
 
     def to_json(self):
@@ -236,7 +236,7 @@ def _asym_cutoff(nu: float) -> float:
     return max(30.0, 1.9 * nu * nu + 16.0)
 
 
-def _checked_argument(nu, z, z_max: float):
+def _checked_argument(nu, z):
     """(float order, 1-D float array, scalar flag) after the domain checks."""
     nuf = float(nu)
     if nuf < -0.5:
@@ -250,17 +250,17 @@ def _checked_argument(nu, z, z_max: float):
             raise DomainError("argument is NaN")
         if lo < 0.0:
             raise DomainError(f"argument {lo} < 0")
-        if hi > z_max:
-            raise DomainError(f"argument {hi} exceeds the configured cap {z_max}")
+        if hi > DEFAULT_Z_MAX:
+            raise DomainError(f"argument {hi} exceeds the cap {DEFAULT_Z_MAX}")
     return nuf, arr, scalar
 
 
-def bessel_j(nu, z, z_max: float = DEFAULT_Z_MAX):
+def bessel_j(nu, z):
     """Bessel function of the first kind J_nu(z), real order nu >= -1/2.
 
-    z may be a scalar or a numpy array with entries in [0, z_max].
+    z may be a scalar or a numpy array with entries in [0, DEFAULT_Z_MAX].
     """
-    nuf, arr, scalar = _checked_argument(nu, z, z_max)
+    nuf, arr, scalar = _checked_argument(nu, z)
     if arr.size == 0:
         return arr
     out = np.empty_like(arr)
@@ -276,12 +276,12 @@ def bessel_j(nu, z, z_max: float = DEFAULT_Z_MAX):
     return float(out[0]) if scalar else out
 
 
-def reduced_bessel(nu, z, z_max: float = DEFAULT_Z_MAX):
+def reduced_bessel(nu, z):
     """The even entire part z^(-nu) J_nu(z), finite down to z = 0.
 
     At z = 0 this equals 1 / (2^nu Gamma(nu+1)).
     """
-    nuf, arr, scalar = _checked_argument(nu, z, z_max)
+    nuf, arr, scalar = _checked_argument(nu, z)
     if arr.size == 0:
         return arr
     out = np.empty_like(arr)
@@ -292,16 +292,20 @@ def reduced_bessel(nu, z, z_max: float = DEFAULT_Z_MAX):
     rest = ~small
     if rest.any():
         zr = arr[rest]
-        out[rest] = bessel_j(nuf, zr, z_max=z_max) / zr**nuf
+        out[rest] = bessel_j(nuf, zr) / zr**nuf
     return float(out[0]) if scalar else out
 
 
 def c_mu(mu: MuVector) -> float:
-    """Normalization constant prod_i 2^mu_i Gamma(mu_i + 1)."""
+    """Normalization constant prod_i 2^mu_i Gamma(mu_i + 1).
+
+    An order whose Gamma overflows raises gamma_fn's DomainError before
+    2^mu_i is formed.
+    """
     mu = MuVector(mu)
     out = 1.0
     for m in mu:
-        out *= 2.0 ** float(m) * gamma_fn(float(m) + 1.0)
+        out *= gamma_fn(float(m) + 1.0) * 2.0 ** float(m)
     return out
 
 
@@ -314,9 +318,7 @@ def c_k_mu(mu: MuVector, k):
     mu = MuVector(mu)
     k = MultiIndex(k)
     if len(k) != len(mu):
-        raise DomainError(
-            f"dimension mismatch: order vector {len(mu)}, index {len(k)}"
-        )
+        raise DimensionMismatch(f"order vector {len(mu)}, index {len(k)}")
     out = Fraction(-1 if k.order % 2 else 1)
     for m, ki in zip(mu, k):
         for r in range(1, ki + 1):

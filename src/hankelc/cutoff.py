@@ -9,8 +9,6 @@ T^k w = 2^|k| W^(|k|)(v) for any radial w(x) = W(|x|^2).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bessel import _coeff
@@ -141,15 +139,6 @@ class WindowedHFunction:
     @property
     def vanishes_near_origin(self) -> bool:
         return isinstance(self.window, OuterWindow)
-
-    @property
-    def origin_plateau(self) -> float:
-        """Radius of the ball where the window is exactly 1 (inf if none)."""
-        if self.window is None:
-            return math.inf
-        if isinstance(self.window, CutoffSpec):
-            return self.window.inner
-        return 0.0
 
     def evaluate(self, coords):
         val = self.base.evaluate(coords)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import DEFAULT_Z_MAX, MuVector, c_k_mu, c_mu, reduced_bessel
+from .bessel import MuVector, c_k_mu, c_mu, reduced_bessel
 from .cutoff import CutoffSpec, OuterWindow, WindowedHFunction, _RadialWindow
 from .errors import (
     DimensionMismatch,
@@ -33,12 +33,13 @@ from .multiindex import (
     mi_factorial,
     mi_graded_enumerate,
 )
-from .quadrature import QuadratureRule, geometric_grid
+from .quadrature import geometric_grid
 from .symbolic import (
     EvenPolynomial,
     EvenRational,
     GaussianPolynomial,
     SymbolicHFunction,
+    _coeff_to_json,
     _terms_from_json,
     apply_Sk,
     apply_Tk,
@@ -61,21 +62,40 @@ __all__ = [
     "multiplier_check",
 ]
 
-_DEFAULT_LADDER = tuple(range(4, 13))
+# the j of the steps 2^-j: diagonal samples x = 2^-j (1, ..., 1) of the
+# origin limits, and the kernel scalings of pair_delta_transform
+_LADDER = tuple(range(4, 13))
+_TRANSFORM_LADDER = tuple(range(3, 9))
+# Richardson elimination: ratio q of the steps in the squared variable
+# and the number of eliminated error terms
+_RATIO = 4.0
+_LEVELS = 3
+# reconstruct_point_supported: far-field probes, the response that counts
+# as a reaction, the smallest coefficient kept, and the probes' seed
+_PROBES = 5
+_SUPPORT_TOL = 1e-8
+_DROP_TOL = 1e-10
+_PROBE_SEED = 20240817
+# multiplier_check: the lowest exponent scanned, the inner radius (the
+# full grid doubles it) and the growth allowed from inner to full sup
+_MIN_EXPONENT = -20
+_RADIUS = 10.0
+_STABILITY = 1.05
 
 
-def richardson_limit(values, ratio: float = 4.0, levels: int = 3, floor: float = 0.0):
+def richardson_limit(values, floor: float = 0.0):
     """Limit of a sequence v_j = L + a q^-j + b q^-2j + ... as j grows.
 
-    values are ordered by increasing j with q = ratio.  Returns
-    (estimate, error_indicator).  Raises ExtrapolationDiverged when the
-    tail differences grow instead of contracting, unless the last one
-    is within `floor`, a bound on the rounding noise of the values.
+    values are ordered by increasing j with q = _RATIO, and _LEVELS error
+    terms are eliminated.  Returns (estimate, error_indicator).  Raises
+    ExtrapolationDiverged when the tail differences grow instead of
+    contracting, unless the last one is within `floor`, a bound on the
+    rounding noise of the values.
     """
     vals = [float(v) for v in values]
-    if len(vals) < levels + 2:
+    if len(vals) < _LEVELS + 2:
         raise DomainError(
-            f"need at least {levels + 2} ladder values, got {len(vals)}"
+            f"need at least {_LEVELS + 2} ladder values, got {len(vals)}"
         )
     if not all(math.isfinite(v) for v in vals):
         raise ExtrapolationDiverged("non-finite ladder values")
@@ -89,8 +109,8 @@ def richardson_limit(values, ratio: float = 4.0, levels: int = 3, floor: float =
     ):
         raise ExtrapolationDiverged("ladder differences are growing")
     row = vals
-    for lev in range(1, levels + 1):
-        fac = ratio**lev
+    for lev in range(1, _LEVELS + 1):
+        fac = _RATIO**lev
         row = [
             (fac * row[i + 1] - row[i]) / (fac - 1.0) for i in range(len(row) - 1)
         ]
@@ -115,20 +135,20 @@ def _resolve_test_function(phi):
     raise DomainError(f"unsupported test function type {type(phi)!r}")
 
 
-def _diag_samples(u: GaussianPolynomial, ladder) -> list:
+def _diag_samples(u: GaussianPolynomial) -> list:
     """u at x = 2^-j (1, ..., 1) for each j of the ladder."""
-    return [float(u.evaluate([np.asarray(2.0**-j)] * u.dim)) for j in ladder]
+    return [float(u.evaluate([np.asarray(2.0**-j)] * u.dim)) for j in _LADDER]
 
 
-def _diag_gaps(a: GaussianPolynomial, b: GaussianPolynomial, ladder) -> list:
+def _diag_gaps(a: GaussianPolynomial, b: GaussianPolynomial) -> list:
     """(j, a - b at x = 2^-j (1, ..., 1)) for each j of the ladder."""
     return [
         (j, va - vb)
-        for j, va, vb in zip(ladder, _diag_samples(a, ladder), _diag_samples(b, ladder))
+        for j, va, vb in zip(_LADDER, _diag_samples(a), _diag_samples(b))
     ]
 
 
-def _limit_tk(k: MultiIndex, u: GaussianPolynomial, method: str, ladder):
+def _limit_tk(k: MultiIndex, u: GaussianPolynomial, method: str):
     """Limit of T^k u at the origin; exact or extrapolated."""
     du = apply_Tk(k, u)
     if method == "auto":
@@ -136,12 +156,12 @@ def _limit_tk(k: MultiIndex, u: GaussianPolynomial, method: str, ladder):
     if method == "exact":
         return du.poly.constant_term()
     if method == "extrapolate":
-        est, _ = richardson_limit(_diag_samples(du, ladder))
+        est, _ = richardson_limit(_diag_samples(du))
         return est
     raise DomainError(f"unknown method {method!r}")
 
 
-def pair_delta(k, mu, phi, method: str = "auto", ladder=_DEFAULT_LADDER):
+def pair_delta(k, mu, phi, method: str = "auto"):
     """Pairing of the k-th delta derivative with a test function.
 
     Equals c_mu(mu) * lim_{x->0} T^k u.  For symbolic input with no
@@ -158,15 +178,15 @@ def pair_delta(k, mu, phi, method: str = "auto", ladder=_DEFAULT_LADDER):
         raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
     if zero:
         return 0.0
-    return c_mu(mu) * float(_limit_tk(k, base.u, method, ladder))
+    return c_mu(mu) * float(_limit_tk(k, base.u, method))
 
 
-def pair_s_delta(k, mu, phi, method: str = "auto", ladder=_DEFAULT_LADDER):
+def pair_s_delta(k, mu, phi):
     """Pairing of S^k delta (via the adjoint: the delta paired with S^k phi)."""
     k = MultiIndex(k)
     base, zero = _resolve_test_function(phi)
     germ = phi if zero else apply_Sk(k, base)
-    return pair_delta(MultiIndex([0] * k.dim), mu, germ, method, ladder)
+    return pair_delta(MultiIndex([0] * k.dim), mu, germ)
 
 
 @dataclasses.dataclass(slots=True, eq=False)
@@ -186,8 +206,9 @@ class TaylorReport:
     remainder_samples: list
     tk_remainder: dict
 
-    def remainder_nonincreasing(self, start: int = 6) -> bool:
-        vals = [abs(v) for j, v in self.remainder_samples if j >= start]
+    def remainder_nonincreasing(self) -> bool:
+        """|R(2^-j 1)| does not grow from j = 6 on."""
+        vals = [abs(v) for j, v in self.remainder_samples if j >= 6]
         return all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def tk_final_max(self) -> float:
@@ -213,13 +234,7 @@ class TaylorReport:
         }
 
 
-def taylor_coeffs(
-    mu,
-    phi: SymbolicHFunction,
-    order: int,
-    method: str = "auto",
-    ladder=_DEFAULT_LADDER,
-) -> TaylorReport:
+def taylor_coeffs(mu, phi: SymbolicHFunction, order: int, method: str = "auto") -> TaylorReport:
     """Even Taylor coefficients a_2k = lim T^k u / (2^|k| k!), |k| <= order."""
     mu = MuVector(mu)
     if tuple(phi.mu) != tuple(mu):
@@ -232,16 +247,16 @@ def taylor_coeffs(
     )
     coeffs = {}
     for k in mi_graded_enumerate(mu.dim, order):
-        lim = _limit_tk(k, u, resolved, ladder)
+        lim = _limit_tk(k, u, resolved)
         coeffs[k] = lim / (2 ** k.order * mi_factorial(k))
     partial = GaussianPolynomial(EvenPolynomial(mu.dim, coeffs), 0)
     tk_remainder = {
-        k: _diag_gaps(apply_Tk(k, u), apply_Tk(k, partial), ladder)
+        k: _diag_gaps(apply_Tk(k, u), apply_Tk(k, partial))
         for k in mi_graded_enumerate(mu.dim, order)
         if k.order == order
     }
     return TaylorReport(
-        mu, order, resolved, coeffs, _diag_gaps(u, partial, ladder), tk_remainder
+        mu, order, resolved, coeffs, _diag_gaps(u, partial), tk_remainder
     )
 
 
@@ -256,21 +271,14 @@ def hankel_delta(k, mu) -> SymbolicHFunction:
     )
 
 
-def pair_delta_transform(
-    k,
-    mu,
-    phi: SymbolicHFunction,
-    rule: QuadratureRule = None,
-    ladder=tuple(range(3, 9)),
-    levels: int = 3,
-    z_max: float = DEFAULT_Z_MAX,
-) -> dict:
+def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
     """Both sides of the delta/transform consistency identity.
 
     lhs pairs T^k delta with the numerically transformed phi: the T
     powers fall on the kernel, turning it into shifted reduced Bessel
     factors, and the origin limit is Richardson-extrapolated.  rhs pairs
     the closed-form transform c^mu_k t^(mu+2k+1/2) with phi directly.
+    Both use the default rule for phi's decay.
     """
     mu = MuVector(mu)
     k = MultiIndex(k)
@@ -278,8 +286,7 @@ def pair_delta_transform(
         raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
     if tuple(phi.mu) != tuple(mu):
         raise DomainError("order vector does not match the function's")
-    if rule is None:
-        rule = default_rule_for(float(phi.decay))
+    rule = default_rule_for(float(phi.decay))
     n = mu.dim
     rhs = orthant_pair(hankel_delta(k, mu), phi, rule)
 
@@ -296,15 +303,15 @@ def pair_delta_transform(
     floor = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(vals)))
     floor /= c_mu(mu.shifted(k))
     ladder_vals = []
-    for j in ladder:
+    for j in _TRANSFORM_LADDER:
         h = 2.0**-j
         acc = vals
         for a in range(n):
             nu_a = float(mu[a]) + k[a]
-            r = reduced_bessel(nu_a, h * rule.nodes, z_max=z_max)
+            r = reduced_bessel(nu_a, h * rule.nodes)
             acc = np.tensordot(acc, r, axes=(0, 0))
         ladder_vals.append(sign * float(acc))
-    est, err = richardson_limit(ladder_vals, ratio=4.0, levels=levels, floor=floor)
+    est, err = richardson_limit(ladder_vals, floor=floor)
     lhs = c_mu(mu) * est
     return {"lhs": lhs, "rhs": rhs, "ladder_error": c_mu(mu) * err}
 
@@ -322,12 +329,9 @@ class DeltaCombination:
     def dim(self) -> int:
         return self.mu.dim
 
-    def pair(self, phi, method: str = "auto") -> float:
+    def pair(self, phi) -> float:
         return float(
-            sum(
-                float(c) * pair_delta(k, self.mu, phi, method=method)
-                for k, c in self.terms.items()
-            )
+            sum(float(c) * pair_delta(k, self.mu, phi) for k, c in self.terms.items())
         )
 
     def transform(self) -> SymbolicHFunction:
@@ -341,7 +345,7 @@ class DeltaCombination:
         return {
             "mu": self.mu.to_json(),
             "terms": [
-                {"k": list(k), "c": float(c)}
+                {"k": list(k), "c": _coeff_to_json(c)}
                 for k, c in sorted(self.terms.items())
             ],
         }
@@ -359,33 +363,25 @@ class DeltaCombination:
         return f"DeltaCombination(mu={tuple(self.mu)}, terms={dict(self.terms)})"
 
 
-def reconstruct_point_supported(
-    functional,
-    mu,
-    order: int,
-    cut: CutoffSpec,
-    probes: int = 5,
-    support_tol: float = 1e-8,
-    drop_tol: float = 1e-10,
-    seed: int = 20240817,
-) -> DeltaCombination:
+def reconstruct_point_supported(functional, mu, order: int, cut: CutoffSpec) -> DeltaCombination:
     """Recover the delta-derivative coefficients of a point-supported
     functional from its values on windowed monomials.
 
     c_k = F(x^(mu+1/2) x^2k psi) / (c_mu 2^|k| k!), |k| <= order, where
-    psi is the plateau window `cut`.  Before reading coefficients the
-    functional is probed with `probes` random far-field test functions
-    (default_weak_family(mu, probes, seed) under an outer window); a
-    nonzero response raises SupportViolation.
+    psi is the plateau window `cut`; coefficients up to _DROP_TOL are
+    dropped.  Before reading coefficients the functional is probed with
+    _PROBES random far-field test functions (default_weak_family(mu,
+    _PROBES, _PROBE_SEED) under an outer window); a response above
+    _SUPPORT_TOL raises SupportViolation.
     """
     mu = MuVector(mu)
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     far = OuterWindow(cut.outer, 2.0 * cut.outer)
-    for member in default_weak_family(mu, probes, seed):
+    for member in default_weak_family(mu, _PROBES, _PROBE_SEED):
         probe = WindowedHFunction(member, far)
         response = float(functional(probe))
-        if abs(response) > support_tol:
+        if abs(response) > _SUPPORT_TOL:
             raise SupportViolation(
                 f"functional responds ({response:.3e}) to input supported "
                 f"outside |x| >= {cut.outer}"
@@ -397,7 +393,7 @@ def reconstruct_point_supported(
             SymbolicHFunction(mu, EvenPolynomial.monomial(k), 0), cut
         )
         c = float(functional(test)) / (norm * 2 ** k.order * mi_factorial(k))
-        if abs(c) > drop_tol:
+        if abs(c) > _DROP_TOL:
             terms[k] = c
     return DeltaCombination(mu, terms)
 
@@ -427,18 +423,8 @@ class MultiplierForm:
         return cls(EvenRational(numer))
 
     @classmethod
-    def quotient(cls, numer: EvenPolynomial, denom: EvenPolynomial, power: int = 1) -> "MultiplierForm":
-        return cls(EvenRational(numer, denom, power))
-
-    @classmethod
-    def window_only(cls, window: _RadialWindow, dim: int) -> "MultiplierForm":
-        return cls(EvenRational(EvenPolynomial.constant(dim, 1)), window)
-
-    @classmethod
-    def windowed_quotient(
-        cls, numer: EvenPolynomial, denom: EvenPolynomial, window: _RadialWindow, power: int = 1
-    ) -> "MultiplierForm":
-        return cls(EvenRational(numer, denom, power), window)
+    def quotient(cls, numer: EvenPolynomial, denom: EvenPolynomial) -> "MultiplierForm":
+        return cls(EvenRational(numer, denom))
 
     @property
     def dim(self) -> int:
@@ -521,20 +507,14 @@ def _denominator_gate(form: MultiplierForm):
         )
 
 
-def multiplier_check(
-    form: MultiplierForm,
-    max_order: int,
-    exponent_range=(-20, 0),
-    radius: float = 10.0,
-    points_per_axis: int = 200,
-    stability: float = 1.05,
-) -> MultiplierReport:
+def multiplier_check(form: MultiplierForm, max_order: int, points_per_axis: int = 200) -> MultiplierReport:
     """Find weighted-boundedness exponents for T^k theta, |k| <= max_order.
 
     For each index the scan starts at exponent 0 and decreases until
-    sup (1+|x|^2)^n |T^k theta| stops growing when the grid radius is
-    doubled; that exponent and the observed bound are reported.  None
-    marks an index where no exponent in range works.
+    sup (1+|x|^2)^n |T^k theta| over radius 2 _RADIUS stays within
+    _STABILITY of the sup over radius _RADIUS; that exponent and the
+    observed bound are reported.  None marks an index where no exponent
+    down to _MIN_EXPONENT works.
     """
     if max_order < 0:
         raise DomainError(f"max_order must be >= 0, got {max_order}")
@@ -543,26 +523,24 @@ def multiplier_check(
     _denominator_gate(form)
     n = form.dim
     pts = points_per_axis if n == 1 else max(40, points_per_axis // (2 ** (n - 1)))
-    axis_inner = geometric_grid(1e-3, radius, pts)
-    axis_full = geometric_grid(1e-3, 2.0 * radius, pts)
+    axis_full = geometric_grid(1e-3, 2.0 * _RADIUS, pts)
     mesh = np.meshgrid(*([axis_full] * n), indexing="ij")
     squares = [c * c for c in mesh]
     vsum = squares[0]
     for s in squares[1:]:
         vsum = vsum + s
-    inner_mask = vsum <= radius * radius
-    lo, hi = exponent_range
+    inner_mask = vsum <= _RADIUS * _RADIUS
     entries = {}
     for k in mi_graded_enumerate(n, max_order):
         tvals = np.abs(np.asarray(form.t_power_values(k, squares, vsum), dtype=float))
         tvals = np.broadcast_to(tvals, vsum.shape)
         exponent = None
         bound = None
-        for expo in range(min(hi, 0), lo - 1, -1):
+        for expo in range(0, _MIN_EXPONENT - 1, -1):
             weighted = (1.0 + vsum) ** expo * tvals
             sup_inner = float(np.max(weighted[inner_mask]))
             sup_full = float(np.max(weighted))
-            if sup_full <= sup_inner * stability + 1e-300:
+            if sup_full <= sup_inner * _STABILITY + 1e-300:
                 exponent = expo
                 bound = sup_full
                 break

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import DEFAULT_Z_MAX, MuVector
+from .bessel import MuVector
 from .errors import DimensionMismatch, DomainError, HypothesisFailed, NumericError
 from .multiindex import mi_graded_enumerate
 from .quadrature import GridSpec, QuadratureRule
@@ -88,7 +88,6 @@ def weak_spectral_check(
     mu=None,
     family=None,
     rule: QuadratureRule = None,
-    z_max: float = DEFAULT_Z_MAX,
 ) -> float:
     """Largest normalized residual |(f, transform(P[x^2] phi))| over the
     test family.
@@ -99,10 +98,10 @@ def weak_spectral_check(
     transform of f in the weak sense; order-one values refute it.
     """
     mu = f.mu if mu is None else mu
-    return _weak_residuals([f], P, mu, family, rule, z_max)[0]
+    return _weak_residuals([f], P, mu, family, rule)[0]
 
 
-def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
+def _weak_residuals(basis, P, mu, family, rule) -> list:
     """weak_spectral_check for every candidate in basis.
 
     The family is the outer loop, so each transform of P[x^2] phi is
@@ -137,7 +136,7 @@ def _weak_residuals(basis, P, mu, family, rule, z_max=DEFAULT_Z_MAX) -> list:
         if tuple(phi.mu) != tuple(mu) or phi.dim != n:
             raise DomainError("family member does not match the order vector")
         g = SymbolicHFunction(mu, phi.poly * P, phi.decay)
-        gvals = hankel_nd(mu, g, grid, rule, z_max=z_max).values.ravel(order="F")
+        gvals = hankel_nd(mu, g, grid, rule).values.ravel(order="F")
         gabs = np.abs(gvals)
         for i, (wf, wabs) in enumerate(weighted):
             numer, denom = abs(float(np.dot(wf, gvals))), float(np.dot(wabs, gabs))
@@ -178,21 +177,14 @@ class KernelCertificate:
         }
 
 
-def liouville_solve(
-    P: OperatorPoly,
-    mu,
-    max_degree: int,
-    family_count: int = 10,
-    seed: int = 7,
-    rule: QuadratureRule = None,
-    skip_weak: bool = False,
-):
+def liouville_solve(P: OperatorPoly, mu, max_degree: int, skip_weak: bool = False):
     """Solve L f = 0 in the power-times-polynomial family up to max_degree.
 
-    Returns (basis, certificate).  Raises HypothesisFailed when P changes
-    sign or vanishes somewhere on the closed orthant away from the
-    origin, since the kernel description is only guaranteed under that
-    hypothesis.
+    Returns (basis, certificate); the weak check pairs each basis element
+    with default_weak_family(mu) on the default rule of decay 1/2.
+    Raises HypothesisFailed when P changes sign or vanishes somewhere on
+    the closed orthant away from the origin, since the kernel description
+    is only guaranteed under that hypothesis.
     """
     mu = MuVector(mu)
     # a float coefficient is solved exactly as the binary value it is
@@ -204,14 +196,13 @@ def liouville_solve(
     exact = [apply_L(P, b).poly.is_zero for b in basis]
     residuals = []
     if not skip_weak and basis:
-        family = default_weak_family(mu, count=family_count, seed=seed)
-        residuals = _weak_residuals(basis, P, mu, family, rule)
+        residuals = _weak_residuals(basis, P, mu, family=None, rule=None)
     cert = KernelCertificate(
         dimension=len(basis),
         max_degree=max_degree,
         exact_zero=exact,
         weak_residuals=residuals,
-        family_size=family_count if not skip_weak else 0,
+        family_size=0 if skip_weak else len(default_weak_family(mu)),
         hypothesis=report.to_json(),
     )
     return basis, cert

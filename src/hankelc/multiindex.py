@@ -9,9 +9,9 @@ lexicographically within an order, so results are reproducible.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 
-from .errors import ComponentExceeds, DimensionMismatch, DomainError
+from .errors import ComponentExceeds, DimensionMismatch, DomainError, LimitExceeded
 
 __all__ = [
     "MultiIndex",
@@ -22,6 +22,10 @@ __all__ = [
     "graded_key",
     "unit_index",
 ]
+
+
+# the most multi-indices one enumeration may produce
+_MAX_INDICES = 10_000
 
 
 class MultiIndex(tuple):
@@ -71,11 +75,6 @@ class MultiIndex(tuple):
                     f"component {i}: cannot subtract {b} from {a}"
                 )
         return MultiIndex(a - b for a, b in zip(self, other))
-
-    def dominates(self, other) -> bool:
-        """True when other <= self componentwise."""
-        other = _coerce(other, self)
-        return all(b <= a for a, b in zip(self, other))
 
 
 def _coerce(k, like: MultiIndex) -> MultiIndex:
@@ -133,15 +132,21 @@ def mi_below(k) -> list[MultiIndex]:
 
 
 def mi_graded_enumerate(n: int, max_order: int) -> list[MultiIndex]:
-    """All multi-indices of dimension n with |k| <= max_order, graded-lex."""
+    """All multi-indices of dimension n with |k| <= max_order, graded-lex.
+
+    More than _MAX_INDICES of them raise LimitExceeded before any is built.
+    Those of order d are the bar positions of d stars and n-1 bars, whose
+    lexicographic order is that of the indices.
+    """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     if max_order < 0:
         raise DomainError(f"max_order must be >= 0, got {max_order}")
-    out = [
-        MultiIndex(j)
-        for j in product(range(max_order + 1), repeat=n)
-        if sum(j) <= max_order
+    count = math.comb(max_order + n, n)
+    if count > _MAX_INDICES:
+        raise LimitExceeded(f"{count} multi-indices exceed the cap {_MAX_INDICES}")
+    return [
+        MultiIndex(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + n - 1,)))
+        for d in range(max_order + 1)
+        for bars in combinations(range(d + n - 1), n - 1)
     ]
-    out.sort(key=graded_key)
-    return out

@@ -51,12 +51,6 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.nodes.shape:
-            raise DimensionMismatch("values do not match the rule's nodes")
-        return float(self.weights @ values)
-
 
 def build_quadrature(
     radius: float,
@@ -93,14 +87,12 @@ def build_quadrature(
     return QuadratureRule(nodes, weights, radius, points_per_panel, panels)
 
 
-def truncation_radius(decay: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Radius beyond which exp(-decay x^2) has dropped below tail_tol."""
+def truncation_radius(decay: float) -> float:
+    """Radius beyond which exp(-decay x^2) has dropped below DEFAULT_TAIL_TOL."""
     decay = float(decay)
     if decay <= 0.0:
         raise DomainError(f"decay rate must be positive, got {decay}")
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError(f"tail tolerance must be in (0,1), got {tail_tol}")
-    return math.sqrt(2.0 * math.log(1.0 / tail_tol) / decay)
+    return math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL) / decay)
 
 
 def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:

@@ -227,8 +227,9 @@ def seminorm_lambda(m: int, k, mu, f: SymbolicHFunction, grid: GridSpec = None) 
     return _weighted_sup(u, m, grid)
 
 
-def seminorm_rho(order: int, mu, f: SymbolicHFunction, grid: GridSpec = None) -> float:
-    """Sum of lambda_{m,k} over m <= order and |k| <= order."""
+def seminorm_rho(order: int, mu, f: SymbolicHFunction) -> float:
+    """Sum of lambda_{m,k} over m <= order and |k| <= order, each on
+    default_sup_grid(f, m)."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     if f.decay == 0:
@@ -237,21 +238,19 @@ def seminorm_rho(order: int, mu, f: SymbolicHFunction, grid: GridSpec = None) ->
     for k in mi_graded_enumerate(f.dim, order):
         u = apply_Sk(k, f).u
         for m in range(order + 1):
-            g = grid if grid is not None else default_sup_grid(f, m)
-            total += _weighted_sup(u, m, g)
+            total += _weighted_sup(u, m, default_sup_grid(f, m))
     return total
 
 
-def lambda_gamma_bound_terms(m: int, k, mu, f: SymbolicHFunction, grid: GridSpec = None):
+def lambda_gamma_bound_terms(m: int, k, mu, f: SymbolicHFunction):
     """The pieces of the domination lambda_{m,k} <= sum_l |b_{l,k}| gamma_{m+|l|, k+l}.
 
     Returns (lambda value, bound value, per-term breakdown); all suprema
-    are taken over the same grid so the pointwise inequality survives
-    discretization.
+    are taken over default_sup_grid(f, m + |k|) so the pointwise
+    inequality survives discretization.
     """
     k = _validate(m, k, mu, f)
-    if grid is None:
-        grid = default_sup_grid(f, m + k.order)
+    grid = default_sup_grid(f, m + k.order)
     lam = seminorm_lambda(m, k, mu, f, grid=grid)
     coeffs = koh_zemanian_coeffs_nd(k, f.mu)
     terms = []

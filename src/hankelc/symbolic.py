@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import MuVector, _coeff
-from .errors import DimensionMismatch, DomainError, NumericError
+from .errors import DimensionMismatch, DomainError, LimitExceeded, NumericError
 from .multiindex import (
     MultiIndex,
     graded_key,
@@ -51,6 +51,20 @@ __all__ = [
     "kernel_basis",
     "check_hypothesis",
 ]
+
+
+# operator powers S^k, T^k with |k| above this raise LimitExceeded before
+# the first application
+_MAX_POWER = 100
+# lattice points of check_hypothesis's numerical double check
+_LATTICE_POINTS = 10_000
+
+
+def _checked_power(k) -> MultiIndex:
+    k = MultiIndex(k)
+    if k.order > _MAX_POWER:
+        raise LimitExceeded(f"operator power |k| = {k.order} exceeds the cap {_MAX_POWER}")
+    return k
 
 
 def _terms_from_json(terms, key) -> dict:
@@ -230,10 +244,6 @@ class EvenPolynomial:
             {"k": list(k), key: _coeff_to_json(v)} for k, v in self.items()
         ]
 
-    @classmethod
-    def from_json_terms(cls, dim, terms, key="q") -> "EvenPolynomial":
-        return cls(dim, _terms_from_json(terms, key))
-
     def __repr__(self):
         body = " + ".join(f"{v}*s^{tuple(k)}" for k, v in self.items()) or "0"
         return f"EvenPolynomial({self.dim}, {body})"
@@ -366,7 +376,7 @@ class SymbolicHFunction:
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicHFunction":
         mu = MuVector(data["mu"])
-        poly = EvenPolynomial.from_json_terms(mu.dim, data["terms"], key="q")
+        poly = EvenPolynomial(mu.dim, _terms_from_json(data["terms"], "q"))
         return cls(mu, poly, data.get("decay", 0))
 
     def __repr__(self):
@@ -404,7 +414,7 @@ def apply_T(axis: int, u: GaussianPolynomial) -> GaussianPolynomial:
 
 def apply_Tk(k, u: GaussianPolynomial) -> GaussianPolynomial:
     """Apply the mixed power T^k = T_n^{k_n} ... T_1^{k_1}."""
-    k = MultiIndex(k)
+    k = _checked_power(k)
     if k.dim != u.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, u-part {u.dim}")
     out = u
@@ -448,7 +458,7 @@ def apply_S(axis: int, f: SymbolicHFunction) -> SymbolicHFunction:
 
 def apply_Sk(k, f: SymbolicHFunction) -> SymbolicHFunction:
     """Apply the mixed power S^k (per-axis powers commute)."""
-    k = MultiIndex(k)
+    k = _checked_power(k)
     if k.dim != f.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, function {f.dim}")
     out = f
@@ -686,7 +696,7 @@ def _simplex_lattice(n: int, target: int) -> np.ndarray:
     return pts
 
 
-def check_hypothesis(P: EvenPolynomial, grid_points: int = 10000) -> HypothesisReport:
+def check_hypothesis(P: EvenPolynomial) -> HypothesisReport:
     """Test that P has same-sign coefficients and no zero on the closed
     positive orthant away from the origin.
 
@@ -720,7 +730,7 @@ def check_hypothesis(P: EvenPolynomial, grid_points: int = 10000) -> HypothesisR
 
     # numerical double check on the simplex; same-sign coefficients mean a
     # float sum of the terms has no cancellation, so a zero there is exact
-    pts = _simplex_lattice(P.dim, grid_points)
+    pts = _simplex_lattice(P.dim, _LATTICE_POINTS)
     vals = np.abs(P.evaluate(pts.T))
     grid_min = float(np.min(vals)) if len(pts) else math.inf
 
@@ -789,7 +799,7 @@ class EvenRational:
         return EvenRational(new_numer, self.denom, self.power + 1)
 
     def t_power(self, k) -> "EvenRational":
-        k = MultiIndex(k)
+        k = _checked_power(k)
         out = self
         for axis, power in enumerate(k):
             for _ in range(power):

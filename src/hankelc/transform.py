@@ -12,6 +12,7 @@ the first transform on quadrature nodes and needs no interpolation.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     LimitExceeded,
 )
 from .quadrature import (
+    MAX_GRID_POINTS,
     GridFunction,
     GridSpec,
     QuadratureRule,
@@ -62,11 +64,14 @@ def _family_factors(f: SymbolicHFunction, axes):
     Returns (C, V): C[k] is the float coefficient of s^k, shaped
     (deg_1+1, ..., deg_n+1), and V[a][i, p] = x_i^(2p) x_i^(mu_a+1/2)
     exp(-c x_i^2) on axes[a], so f = sum_k C[k] prod_a V[a][i_a, k_a].
+    A tensor C of more than MAX_GRID_POINTS entries raises LimitExceeded.
     """
     if f.dim != len(axes):
         raise DimensionMismatch(f"function dimension {f.dim}, grid {len(axes)}")
     terms = f.poly.items()
     shape = [1 + max((k[a] for k, _ in terms), default=0) for a in range(f.dim)]
+    if math.prod(shape) > MAX_GRID_POINTS:
+        raise LimitExceeded(f"coefficient tensor {shape} exceeds {MAX_GRID_POINTS} entries")
     coeffs = np.zeros(shape)
     for k, v in terms:
         coeffs[tuple(k)] = float(v)
@@ -109,12 +114,12 @@ def sample_on_nodes(f, axes) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(f(*mesh), dtype=float), shape))
 
 
-def _check_arguments(ys: np.ndarray, rule: QuadratureRule, z_max: float):
-    if float(np.max(ys)) * rule.radius > z_max:
+def _check_arguments(ys: np.ndarray, rule: QuadratureRule):
+    if float(np.max(ys)) * rule.radius > DEFAULT_Z_MAX:
         raise DomainError(
             "kernel argument "
             f"{float(np.max(ys)) * rule.radius:.1f} exceeds the Bessel cap "
-            f"{z_max}; shrink the output grid or raise z_max"
+            f"{DEFAULT_Z_MAX}; shrink the output grid"
         )
 
 
@@ -126,21 +131,15 @@ _KERNEL_CACHE_CAP = 32
 _KERNEL_LOCK = threading.Lock()
 
 
-def _kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
+def _kernel_matrix(alpha, ys, rule: QuadratureRule) -> np.ndarray:
     """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i)."""
-    key = (
-        float(alpha),
-        ys.tobytes(),
-        rule.nodes.tobytes(),
-        rule.weights.tobytes(),
-        float(z_max),
-    )
+    key = (float(alpha), ys.tobytes(), rule.nodes.tobytes(), rule.weights.tobytes())
     with _KERNEL_LOCK:
         hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
     z = np.outer(ys, rule.nodes)
-    value = np.sqrt(z) * bessel_j(alpha, z, z_max=z_max) * rule.weights[None, :]
+    value = np.sqrt(z) * bessel_j(alpha, z) * rule.weights[None, :]
     value.setflags(write=False)
     with _KERNEL_LOCK:
         if key not in _KERNEL_CACHE:
@@ -150,19 +149,12 @@ def _kernel_matrix(alpha, ys, rule: QuadratureRule, z_max: float) -> np.ndarray:
         return _KERNEL_CACHE[key]
 
 
-def hankel_1d(alpha, f, ys, rule: QuadratureRule, z_max: float = DEFAULT_Z_MAX) -> GridFunction:
+def hankel_1d(alpha, f, ys, rule: QuadratureRule) -> GridFunction:
     """1-D Hankel transform on strictly increasing output points ys > 0."""
-    return hankel_nd([alpha], f, GridSpec([ys]), rule, z_max=z_max)
+    return hankel_nd([alpha], f, GridSpec([ys]), rule)
 
 
-def hankel_nd(
-    mu,
-    f,
-    grid: GridSpec,
-    rule: QuadratureRule,
-    z_max: float = DEFAULT_Z_MAX,
-    direct: bool = False,
-) -> GridFunction:
+def hankel_nd(mu, f, grid: GridSpec, rule: QuadratureRule, *, direct: bool = False) -> GridFunction:
     """n-D Hankel transform of f sampled on the rule's tensor nodes.
 
     A family member is not sampled on the N^n node grid: each kernel
@@ -176,19 +168,17 @@ def hankel_nd(
     if grid.dim != n:
         raise DimensionMismatch(f"order vector dimension {n}, grid {grid.dim}")
     for axis in grid.axes:
-        _check_arguments(axis, rule, z_max)
+        _check_arguments(axis, rule)
     nodes = [rule.nodes] * n
     if isinstance(f, SymbolicHFunction) and not direct:
         coeffs, factors = _family_factors(f, nodes)
         mats = [
-            _kernel_matrix(float(mu[a]), grid.axes[a], rule, z_max) @ factors[a]
+            _kernel_matrix(float(mu[a]), grid.axes[a], rule) @ factors[a]
             for a in range(n)
         ]
         return GridFunction(grid, _contract(coeffs, mats), mu)
     vals = sample_on_nodes(f, nodes)
-    kernels = [
-        _kernel_matrix(float(mu[a]), grid.axes[a], rule, z_max) for a in range(n)
-    ]
+    kernels = [_kernel_matrix(float(mu[a]), grid.axes[a], rule) for a in range(n)]
     if direct:
         big = kernels[0]
         for k in kernels[1:]:
@@ -203,34 +193,26 @@ def hankel_nd(
     return GridFunction(grid, _contract(vals, kernels), mu)
 
 
-def orthant_pair(f, g, rule: QuadratureRule, dim: int = None, absolute: bool = False) -> float:
-    """Quadrature pairing integral of f*g over the positive orthant."""
+def orthant_pair(f, g, rule: QuadratureRule) -> float:
+    """Quadrature pairing integral of f*g over the positive orthant.
+
+    The dimension is read from the first factor that is a family member
+    or an array of node values; two plain callables raise DomainError.
+    """
+    dim = None
+    for h in (f, g):
+        if isinstance(h, (SymbolicHFunction, np.ndarray)):
+            dim = h.dim if isinstance(h, SymbolicHFunction) else h.ndim
+            break
     if dim is None:
-        for h in (f, g):
-            if isinstance(h, SymbolicHFunction):
-                dim = h.dim
-                break
-            if isinstance(h, np.ndarray):
-                dim = h.ndim
-                break
-    if dim is None:
-        raise DomainError("pass dim= when both factors are plain callables")
-    fv = sample_on_nodes(f, [rule.nodes] * dim)
-    gv = sample_on_nodes(g, [rule.nodes] * dim)
-    prod = fv * gv
-    if absolute:
-        prod = np.abs(prod)
+        raise DomainError("one factor must be a family member or an array")
+    prod = sample_on_nodes(f, [rule.nodes] * dim) * sample_on_nodes(g, [rule.nodes] * dim)
     for _ in range(dim):
         prod = np.tensordot(prod, rule.weights, axes=(0, 0))
     return float(prod)
 
 
-def hankel_roundtrip_residual(
-    f: SymbolicHFunction,
-    comparison: GridSpec,
-    rule: QuadratureRule = None,
-    z_max: float = DEFAULT_Z_MAX,
-) -> dict:
+def hankel_roundtrip_residual(f: SymbolicHFunction, comparison: GridSpec, rule: QuadratureRule = None) -> dict:
     """Sup-norm defect of transforming twice and comparing with f.
 
     f has decay c and its transform decay 1/(4c) (Weber's integral), so
@@ -247,8 +229,8 @@ def hankel_roundtrip_residual(
 
     def run(r: QuadratureRule) -> float:
         scaled = build_quadrature(2 * f.decay * r.radius, r.points_per_panel, r.panels)
-        mid = hankel_nd(f.mu, f, GridSpec([scaled.nodes] * f.dim), r, z_max=z_max)
-        back = hankel_nd(f.mu, mid.values, comparison, scaled, z_max=z_max)
+        mid = hankel_nd(f.mu, f, GridSpec([scaled.nodes] * f.dim), r)
+        back = hankel_nd(f.mu, mid.values, comparison, scaled)
         return float(np.max(np.abs(back.values - target)))
 
     half = build_quadrature(rule.radius, rule.points_per_panel, max(1, rule.panels // 2))

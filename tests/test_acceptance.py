@@ -18,6 +18,7 @@ from hankelc import (
     CutoffSpec,
     DeltaCombination,
     EvenPolynomial,
+    EvenRational,
     GaussianPolynomial,
     GridSpec,
     MultiIndex,
@@ -446,8 +447,8 @@ def test_criterion_10_multiplier_stability():
         MultiplierForm.quotient(
             one2, EvenPolynomial(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         ),
-        MultiplierForm.windowed_quotient(
-            one1, EvenPolynomial.monomial((1,)), OuterWindow(1.0, 2.0)
+        MultiplierForm(
+            EvenRational(one1, EvenPolynomial.monomial((1,))), OuterWindow(1.0, 2.0)
         ),
     ]
     worst_drift = 0.0

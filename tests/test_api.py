@@ -1,0 +1,81 @@
+"""Inventory of the options of the public API.
+
+The rule: a parameter with a default (an option) exists only when a
+caller outside tests/ sets it (the package itself, the CLI or the
+benchmark), or when a test sets it to reach a case the default cannot.
+A value that nobody changes is a module constant, not an option.
+
+OPTIONS pins every defaulted parameter of every public callable that
+hankelc exports: functions, classes (their constructors) and the public
+methods defined on those classes.  Adding or removing an option has to
+update this table on purpose, next to the caller that needs it.
+"""
+
+import inspect
+
+import hankelc
+
+OPTIONS = {
+    "EvenPolynomial": {"coeffs": None},
+    "EvenPolynomial.monomial": {"value": 1},
+    "EvenPolynomial.json_terms": {"key": "q"},
+    "EvenRational": {"denom": None, "power": 1},
+    "GaussianPolynomial": {"decay": 0},
+    "GridSpec.geometric": {"dim": 1},
+    "GridSpec.linear": {"dim": 1},
+    "MultiplierForm": {"window": None},
+    "MultiplierReport": {"note": None},
+    "SymbolicHFunction": {"decay": 0},
+    "WindowedHFunction": {"window": None},
+    "build_quadrature": {"points_per_panel": 24, "panels": 16},
+    "default_rule_for": {"points_per_panel": None, "panels": None},
+    "default_weak_family": {"count": 10, "seed": 7},
+    "hankel_nd": {"direct": False},
+    "hankel_roundtrip_residual": {"rule": None},
+    "liouville_solve": {"skip_weak": False},
+    "multiplier_check": {"points_per_axis": 200},
+    "pair_delta": {"method": "auto"},
+    "richardson_limit": {"floor": 0.0},
+    "run_all": {"names": None, "negative_controls": False, "threads": 1},
+    "run_suite": {"negative_controls": False, "threads": 1},
+    "seminorm_gamma": {"grid": None},
+    "seminorm_lambda": {"grid": None},
+    "taylor_coeffs": {"method": "auto"},
+    "weak_spectral_check": {"mu": None, "family": None, "rule": None},
+}
+
+
+def _public_callables():
+    for name, obj in sorted(vars(hankelc).items()):
+        if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, val in vars(obj).items():
+                fn = val.__func__ if isinstance(val, (classmethod, staticmethod)) else val
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
+
+
+def _options(fn) -> dict:
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except ValueError:  # a builtin without a signature
+        return {}
+    return {p.name: p.default for p in params if p.default is not inspect.Parameter.empty}
+
+
+def test_every_option_is_pinned():
+    found = {}
+    for name, fn in _public_callables():
+        opts = _options(fn)
+        if opts:
+            found[name] = opts
+    assert found == OPTIONS
+
+
+def test_direct_is_keyword_only():
+    # perfbench's tracer reads hankel_nd's arguments by position, so
+    # direct must be named to be read as what it is
+    param = inspect.signature(hankelc.hankel_nd).parameters["direct"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY

@@ -11,7 +11,9 @@ import pytest
 import scipy.special as sps
 
 from hankelc import (
+    DimensionMismatch,
     DomainError,
+    EvenPolynomial,
     MuVector,
     bessel_j,
     c_k_mu,
@@ -94,7 +96,6 @@ def test_bessel_domain():
         bessel_j(0.5, -0.1)
     with pytest.raises(DomainError):
         bessel_j(0.5, 250.0)
-    assert bessel_j(0.5, 250.0, z_max=300.0) == pytest.approx(sps.jv(0.5, 250.0), abs=1e-10)
 
 
 @pytest.mark.parametrize("fn", [bessel_j, reduced_bessel])
@@ -130,6 +131,33 @@ def test_mu_vector_validation():
 def test_mu_shifted():
     mu = MuVector(["1/2"])
     assert tuple(mu.shifted((2,))) == (Fraction(5, 2),)
+
+
+def test_index_of_the_wrong_dimension_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        MuVector(["1/2"]).shifted((1, 1))
+    with pytest.raises(DimensionMismatch):
+        c_k_mu(["1/2"], (1, 1))
+
+
+def test_numpy_scalar_coefficients():
+    # integers of any type are exact, other reals floats; booleans are not numbers
+    for value, want in [(np.int64(2), Fraction(2)), (np.uint8(3), Fraction(3)), (np.float32(0.5), 0.5)]:
+        poly = EvenPolynomial(1, {(0,): value})
+        assert poly.constant_term() == want
+        assert type(poly.constant_term()) is type(want)
+        assert MuVector([value])[0] == want
+    for value in (True, np.bool_(True)):
+        with pytest.raises(DomainError):
+            EvenPolynomial(1, {(0,): value})
+        with pytest.raises(DomainError):
+            MuVector([value])
+
+
+def test_c_mu_refuses_an_order_whose_gamma_overflows():
+    # 2^mu would overflow first; gamma_fn's refusal comes before it
+    with pytest.raises(DomainError):
+        c_mu([100000000000])
 
 
 def test_c_mu_value():

@@ -419,6 +419,35 @@ def test_non_finite_result_exit_3(tmp_path, spec, argv, capsys):
     assert captured.out == ""
 
 
+_BIG = 100000000000
+
+
+@pytest.mark.parametrize(
+    "spec, argv, code",
+    [
+        (GAUSS_1D, ["pair-delta", "-k", str(_BIG)], 3),
+        (GAUSS_1D, ["taylor", "--order", "100000"], 3),
+        ({"multiplier": {"numer": [{"k": [1], "q": 1}]}}, ["multiplier", "--max-order", "100000"], 3),
+        (
+            {"mu": ["1/2"], "function": {"decay": "1/2", "terms": [{"k": [_BIG], "q": 1}]}},
+            ["transform", "--grid", "0.5:2:4"],
+            3,
+        ),
+        ({"mu": ["1/2"], "operator": {"terms": [{"k": [_BIG], "a": 1}]}}, ["kernel", "--degree", "1", "--skip-weak"], 3),
+        ({"mu": ["1/2"], "operator": {"terms": [{"k": [1], "a": 1}]}}, ["kernel", "--degree", "100000"], 3),
+        (dict(GAUSS_1D, mu=[_BIG]), ["pair-delta", "-k", "0"], 2),
+    ],
+    ids=["pair-delta-k", "taylor-order", "multiplier-order", "transform-k", "kernel-k", "kernel-degree", "pair-delta-mu"],
+)
+def test_oversized_input_is_refused(tmp_path, spec, argv, code, capsys):
+    # each size is checked before the loop or array it would drive
+    path = _write_spec(tmp_path, spec)
+    assert main(argv + ["--spec", path]) == code
+    err = capsys.readouterr().err
+    assert ("numerical failure" if code == 3 else "invalid input") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_out_into_missing_directory_exit_2(tmp_path, fmt, capsys):
     spec = _write_spec(tmp_path, GAUSS_1D)

@@ -45,7 +45,7 @@ BASES = [
     },
 ]
 
-REPLACEMENTS = [None, True, "abc", "1/0", math.inf, -1, 1.5, [], {}]
+REPLACEMENTS = [None, True, "abc", "1/0", math.inf, -1, 1.5, [], {}, 10**11]
 
 
 def _commands(dim):

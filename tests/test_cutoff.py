@@ -1,6 +1,5 @@
 """Smooth radial windows and windowed family members."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -99,9 +98,6 @@ def test_windowed_function_properties():
     cut = WindowedHFunction(base, CutoffSpec(1.0, 2.0))
     far = WindowedHFunction(base, OuterWindow(1.0, 2.0))
 
-    assert plain.origin_plateau == math.inf
-    assert cut.origin_plateau == 1.0
-    assert far.origin_plateau == 0.0
     assert far.vanishes_near_origin and not cut.vanishes_near_origin
     assert cut.dim == 1 and cut.mu == mu
 

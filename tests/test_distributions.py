@@ -11,6 +11,7 @@ from hankelc import (
     DeltaCombination,
     DomainError,
     EvenPolynomial,
+    EvenRational,
     ExtrapolationDiverged,
     HypothesisFailed,
     MultiIndex,
@@ -251,6 +252,13 @@ def test_delta_combination_roundtrip():
     assert back.dim == 2
 
 
+def test_delta_combination_roundtrip_keeps_exact_coefficients():
+    comb = DeltaCombination(["1/2"], {(0,): Fraction(1, 3), (1,): 0.25})
+    back = DeltaCombination.from_json(comb.to_json())
+    assert back == comb
+    assert back.terms[MultiIndex((0,))] == Fraction(1, 3)
+
+
 def test_delta_combination_drops_zero_terms():
     comb = DeltaCombination(["1/2"], {(0,): 1.0, (1,): 0.0})
     assert list(comb.terms) == [MultiIndex((0,))]
@@ -361,21 +369,21 @@ def test_multiplier_windowed_inverse_power():
     # 1/x^2 is fine once a far-field window removes the origin
     one = EvenPolynomial.constant(1, 1)
     s = EvenPolynomial.monomial((1,))
-    form = MultiplierForm.windowed_quotient(one, s, OuterWindow(1.0, 2.0))
+    form = MultiplierForm(EvenRational(one, s), OuterWindow(1.0, 2.0))
     report = multiplier_check(form, 2)
     assert report.bounded
     assert all(e["exponent"] == 0 for e in report.entries.values())
 
 
 def test_multiplier_window_only():
-    form = MultiplierForm.window_only(CutoffSpec(1.0, 3.0), 1)
+    form = MultiplierForm(EvenRational(EvenPolynomial.constant(1, 1)), CutoffSpec(1.0, 3.0))
     report = multiplier_check(form, 2)
     assert report.bounded
     assert report.entries[MultiIndex((0,))]["bound"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_multiplier_order_cap_for_windows():
-    form = MultiplierForm.window_only(CutoffSpec(1.0, 3.0), 1)
+    form = MultiplierForm(EvenRational(EvenPolynomial.constant(1, 1)), CutoffSpec(1.0, 3.0))
     with pytest.raises(DomainError):
         multiplier_check(form, 5)
 
@@ -386,5 +394,5 @@ def test_multiplier_evaluate():
     form = MultiplierForm.quotient(one, denom)
     x = np.array([2.0])
     assert form.evaluate([x])[0] == pytest.approx(1 / 5)
-    wform = MultiplierForm.windowed_quotient(one, denom, OuterWindow(3.0, 4.0))
+    wform = MultiplierForm(EvenRational(one, denom), OuterWindow(3.0, 4.0))
     assert wform.evaluate([x])[0] == 0.0

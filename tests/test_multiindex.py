@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from hankelc import ComponentExceeds, DomainError, MultiIndex
+from hankelc import ComponentExceeds, DomainError, LimitExceeded, MultiIndex
 from hankelc.multiindex import (
     graded_key,
     mi_below,
@@ -37,9 +39,6 @@ def test_componentwise_arithmetic():
         b - a
 
 
-def test_dominates():
-    assert MultiIndex((2, 1)).dominates((1, 1))
-    assert not MultiIndex((2, 0)).dominates((1, 1))
 
 
 def test_factorial_and_binomial():
@@ -65,9 +64,23 @@ def test_graded_enumeration_count():
     got = mi_graded_enumerate(2, 3)
     assert len(got) == 10
     assert got == sorted(got, key=graded_key)
+    # reference: the points of the cube [0, max_order]^n with |k| <= max_order
+    for n in range(1, 5):
+        for max_order in range(6):
+            cube = product(range(max_order + 1), repeat=n)
+            want = sorted((MultiIndex(j) for j in cube if sum(j) <= max_order), key=graded_key)
+            assert mi_graded_enumerate(n, max_order) == want
 
 
 def test_unit_index():
     assert unit_index(3, 1) == MultiIndex((0, 1, 0))
     with pytest.raises(DomainError):
         unit_index(2, 5)
+
+
+@pytest.mark.parametrize("n, max_order", [(1, 100000000000), (40, 3)])
+def test_enumeration_counts_before_building(n, max_order):
+    # comb(max_order + n, n) indices; (40, 3) has 12,341 of them but
+    # 4^40 points in the cube that contains them
+    with pytest.raises(LimitExceeded):
+        mi_graded_enumerate(n, max_order)

@@ -12,6 +12,7 @@ from hankelc import (
     EvenPolynomial,
     EvenRational,
     GaussianPolynomial,
+    LimitExceeded,
     MuVector,
     MultiIndex,
     NumericError,
@@ -610,3 +611,14 @@ def test_even_rational_vs_fd():
     fd = (t2(x1 + h) - t2(x1 - h)) / (2 * h * x1)
     got = float(d.evaluate([np.array(x1 * x1), np.array(x2 * x2)]))
     assert got == pytest.approx(fd, rel=1e-5)
+
+
+def test_operator_powers_are_capped_before_the_first_step():
+    k = (100000000000,)
+    f = SymbolicHFunction(["1/2"], EvenPolynomial.constant(1, 1), 0)
+    with pytest.raises(LimitExceeded):
+        apply_Tk(k, f.u)
+    with pytest.raises(LimitExceeded):
+        apply_Sk(k, f)
+    with pytest.raises(LimitExceeded):
+        EvenRational(f.poly).t_power(k)

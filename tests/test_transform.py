@@ -115,15 +115,6 @@ def test_orthant_pair_value():
     assert got == pytest.approx(math.sqrt(math.pi) / 4, rel=1e-12)
 
 
-def test_orthant_pair_absolute():
-    mu = MuVector(["1/2"])
-    f = SymbolicHFunction(mu, EvenPolynomial(1, {(1,): 1, (0,): -1}), HALF)
-    rule = default_rule_for(HALF)
-    plain = orthant_pair(f, f, rule)
-    absval = orthant_pair(f, f, rule, absolute=True)
-    assert absval >= plain > 0
-
-
 def test_roundtrip_residual_small():
     mu = MuVector(["1/2"])
     f = SymbolicHFunction(mu, EvenPolynomial(1, {(0,): 1, (1,): -HALF}), HALF)
@@ -183,8 +174,6 @@ def test_argument_cap():
     ys = np.array([30.0])  # 30 * 11.4 > 200
     with pytest.raises(DomainError):
         hankel_1d(0.5, f, ys, rule)
-    out = hankel_1d(0.5, f, ys, rule, z_max=500.0)
-    assert np.isfinite(out.values).all()
 
 
 def test_default_rule_requires_decay():
@@ -258,7 +247,7 @@ def test_cached_kernels_are_read_only():
     rule = default_rule_for(HALF)
     ys = np.linspace(0.1, 4.0, 9) + 1e-3  # a grid no other test uses
     for _ in range(2):  # a cache miss, then a hit
-        kernel = transform_module._kernel_matrix(0.5, ys, rule, 200.0)
+        kernel = transform_module._kernel_matrix(0.5, ys, rule)
         with pytest.raises(ValueError):
             kernel[0, 0] = 1.0
 
@@ -293,3 +282,9 @@ def test_kernel_cache_shared_by_two_threads():
     assert len(transform_module._KERNEL_CACHE) <= transform_module._KERNEL_CACHE_CAP
     for i, values in enumerate(want):
         np.testing.assert_array_equal(results[i], values)
+
+
+def test_coefficient_tensor_is_capped_before_allocation():
+    f = SymbolicHFunction(["1/2"], EvenPolynomial.monomial((100000000000,)), HALF)
+    with pytest.raises(LimitExceeded):
+        sample_on_nodes(f, [np.array([1.0])])
