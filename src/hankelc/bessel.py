@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, _checked_power
 
 __all__ = [
     "MuVector",
@@ -45,14 +45,20 @@ def _coeff(v):
     """Coerce a coefficient: exact types become Fraction, floats stay.
 
     Integers of any type (numpy's included) become Fractions and any
-    other real a float.  Booleans, non-finite reals and strings that are
-    not a finite rational (such as "1/0" or "abc") raise DomainError.
+    other real a float.  Booleans, non-finite reals, integers beyond the
+    float range and strings that are not a finite rational (such as "1/0"
+    or "abc") raise DomainError.
     """
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (bool, np.bool_)):
         raise DomainError(f"coefficient must be a number, got {v!r}")
     if isinstance(v, numbers.Integral):
+        try:
+            float(v)
+        except OverflowError:
+            # no repr in the message: an integer of 4300+ digits refuses one
+            raise DomainError("integer coefficient too large for a float") from None
         return Fraction(int(v))
     if isinstance(v, str):
         try:
@@ -316,7 +322,7 @@ def c_k_mu(mu: MuVector, k):
     so for rational mu the value is an exact Fraction.
     """
     mu = MuVector(mu)
-    k = MultiIndex(k)
+    k = _checked_power(k)
     if len(k) != len(mu):
         raise DimensionMismatch(f"order vector {len(mu)}, index {len(k)}")
     out = Fraction(-1 if k.order % 2 else 1)

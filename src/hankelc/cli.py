@@ -61,7 +61,9 @@ def _load_spec(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, text that is not UTF-8, or an integer past
+        # Python's 4300-digit conversion limit
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError("problem spec must be a JSON object")

@@ -28,7 +28,15 @@ from .symbolic import (
     check_hypothesis,
     kernel_basis,
 )
-from .transform import default_rule_for, hankel_nd, sample_on_nodes
+from .transform import (
+    _axis_factors,
+    _axis_images,
+    _check_arguments,
+    _coefficient_tensor,
+    _contract,
+    _family_factors,
+    default_rule_for,
+)
 
 __all__ = [
     "default_weak_family",
@@ -101,15 +109,29 @@ def weak_spectral_check(
     return _weak_residuals([f], P, mu, family, rule)[0]
 
 
+def _expand(coeffs, mats, out=None) -> np.ndarray:
+    """sum_k coeffs[k] prod_a mats[a][i_a, k_a] as a C-ordered matrix whose
+    rows run over the first n-1 axes; the last axis is one product into out.
+
+    BLAS takes a C-ordered right factor about 2x faster than the transposed
+    view.  For an inner dimension of 1 numpy's matmul leaves BLAS and is
+    about 3x slower than dot, which is the slower of the two otherwise.
+    """
+    head = _contract(coeffs, mats[:-1]).reshape(-1, coeffs.shape[-1])
+    product = np.dot if head.shape[1] == 1 else np.matmul
+    return product(head, np.ascontiguousarray(mats[-1].T), out=out)
+
+
 def _weak_residuals(basis, P, mu, family, rule) -> list:
     """weak_spectral_check for every candidate in basis.
 
-    The family is the outer loop, so each transform of P[x^2] phi is
-    computed once and only one is held at a time.  Every operand is
-    flattened in Fortran order, which is a free view of the transform
-    (its last contraction leaves it Fortran-ordered in 2-D), so each
-    pairing is one dot product of two contiguous vectors.  A pairing
-    that overflows raises NumericError rather than certifying f.
+    Every g = P[x^2] phi shares the order vector and the nodes, so the
+    axis images M_a = K_a V_a are formed once per decay, for the widest
+    coefficient shape, and each g is only its coefficient tensor C.  The
+    numerator sum w f Hg is then <Z, C> with Z = contract(w f, M_a^T)
+    per candidate, so the signed Hg is never formed.  The normaliser
+    sum |w f| |Hg| builds |Hg| into one buffer reused for every member.
+    A pairing that overflows raises NumericError rather than certifying f.
     """
     mu = MuVector(mu)
     n = mu.dim
@@ -123,23 +145,36 @@ def _weak_residuals(basis, P, mu, family, rule) -> list:
     if rule is None:
         rule = _default_weak_rule()
     grid = GridSpec([rule.nodes] * n)
-    weight = rule.weights
-    for _ in range(n - 1):
-        weight = np.multiply.outer(weight, rule.weights)
-    weight = weight.ravel(order="F")
-    weighted = []
-    for f in basis:
-        wf = weight * sample_on_nodes(f, grid.axes).ravel(order="F")
-        weighted.append((wf, np.abs(wf)))
-    worst = [0.0] * len(basis)
+    _check_arguments(rule.nodes, rule)
+    members = []
     for phi in family:
         if tuple(phi.mu) != tuple(mu) or phi.dim != n:
             raise DomainError("family member does not match the order vector")
-        g = SymbolicHFunction(mu, phi.poly * P, phi.decay)
-        gvals = hankel_nd(mu, g, grid, rule).values.ravel(order="F")
-        gabs = np.abs(gvals)
-        for i, (wf, wabs) in enumerate(weighted):
-            numer, denom = abs(float(np.dot(wf, gvals))), float(np.dot(wabs, gabs))
+        members.append((phi.decay, _coefficient_tensor(phi.poly * P)))
+    shape = np.max([(1,) * n] + [c.shape for _, c in members], axis=0)
+    images = {
+        decay: _axis_images(mu, _axis_factors(mu, decay, grid.axes, shape), grid, rule)
+        for decay in dict.fromkeys(decay for decay, _ in members)
+    }
+    # one block holds |Hg| and every |w f|: separate arrays of this size are
+    # returned to the system when freed and page-faulted in on the next call
+    block = np.empty((1 + len(basis), grid.size // rule.size, rule.size))
+    weights = rule.weights[:, None]
+    pairings = []
+    for f, wf in zip(basis, block[1:]):
+        coeffs, factors = _family_factors(f, grid.axes)
+        core = _expand(coeffs, [weights * v for v in factors], out=wf).reshape(grid.shape)
+        pairings.append({d: _contract(core, [m.T for m in mats]) for d, mats in images.items()})
+        np.abs(wf, out=wf)
+    worst = [0.0] * len(basis)
+    hg = block[0]
+    for decay, coeffs in members:
+        part = tuple(map(slice, coeffs.shape))
+        _expand(coeffs, [m[:, :d] for m, d in zip(images[decay], coeffs.shape)], out=hg)
+        habs = np.abs(hg, out=hg).ravel()
+        for i, (z, wa) in enumerate(zip(pairings, block[1:])):
+            numer = abs(float(np.vdot(z[decay][part], coeffs)))
+            denom = float(np.dot(wa.ravel(), habs))
             if not (np.isfinite(numer) and np.isfinite(denom)):
                 raise NumericError("weak pairing is not finite")
             worst[i] = max(worst[i], numer / max(denom, _TINY))

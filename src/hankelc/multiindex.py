@@ -26,6 +26,9 @@ __all__ = [
 
 # the most multi-indices one enumeration may produce
 _MAX_INDICES = 10_000
+# operator powers S^k, T^k and delta derivatives T^k delta with |k| above
+# this raise LimitExceeded before the first application
+_MAX_POWER = 100
 
 
 class MultiIndex(tuple):
@@ -150,3 +153,10 @@ def mi_graded_enumerate(n: int, max_order: int) -> list[MultiIndex]:
         for d in range(max_order + 1)
         for bars in combinations(range(d + n - 1), n - 1)
     ]
+
+
+def _checked_power(k) -> MultiIndex:
+    k = MultiIndex(k)
+    if k.order > _MAX_POWER:
+        raise LimitExceeded(f"operator power |k| = {k.order} exceeds the cap {_MAX_POWER}")
+    return k

@@ -26,6 +26,7 @@ from .bessel import MuVector, _coeff
 from .errors import DimensionMismatch, DomainError, LimitExceeded, NumericError
 from .multiindex import (
     MultiIndex,
+    _checked_power,
     graded_key,
     mi_below,
     mi_binomial,
@@ -53,18 +54,8 @@ __all__ = [
 ]
 
 
-# operator powers S^k, T^k with |k| above this raise LimitExceeded before
-# the first application
-_MAX_POWER = 100
 # lattice points of check_hypothesis's numerical double check
 _LATTICE_POINTS = 10_000
-
-
-def _checked_power(k) -> MultiIndex:
-    k = MultiIndex(k)
-    if k.order > _MAX_POWER:
-        raise LimitExceeded(f"operator power |k| = {k.order} exceeds the cap {_MAX_POWER}")
-    return k
 
 
 def _terms_from_json(terms, key) -> dict:

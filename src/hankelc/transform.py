@@ -59,31 +59,43 @@ def default_rule_for(decay, points_per_panel=None, panels=None) -> QuadratureRul
 
 
 def _family_factors(f: SymbolicHFunction, axes):
-    """Split a family member into a coefficient tensor and axis factors.
-
-    Returns (C, V): C[k] is the float coefficient of s^k, shaped
-    (deg_1+1, ..., deg_n+1), and V[a][i, p] = x_i^(2p) x_i^(mu_a+1/2)
-    exp(-c x_i^2) on axes[a], so f = sum_k C[k] prod_a V[a][i_a, k_a].
-    A tensor C of more than MAX_GRID_POINTS entries raises LimitExceeded.
-    """
+    """Split a family member into its coefficient tensor C and axis factors
+    V (_axis_factors), so f = sum_k C[k] prod_a V[a][i_a, k_a] on axes."""
     if f.dim != len(axes):
         raise DimensionMismatch(f"function dimension {f.dim}, grid {len(axes)}")
-    terms = f.poly.items()
-    shape = [1 + max((k[a] for k, _ in terms), default=0) for a in range(f.dim)]
+    coeffs = _coefficient_tensor(f.poly)
+    return coeffs, _axis_factors(f.mu, f.decay, axes, coeffs.shape)
+
+
+def _coefficient_tensor(poly) -> np.ndarray:
+    """C[k] = float coefficient of s^k, shaped (deg_1+1, ..., deg_n+1); a
+    tensor of more than MAX_GRID_POINTS entries raises LimitExceeded."""
+    terms = poly.items()
+    shape = [1 + max((k[a] for k, _ in terms), default=0) for a in range(poly.dim)]
     if math.prod(shape) > MAX_GRID_POINTS:
         raise LimitExceeded(f"coefficient tensor {shape} exceeds {MAX_GRID_POINTS} entries")
     coeffs = np.zeros(shape)
     for k, v in terms:
         coeffs[tuple(k)] = float(v)
-    decay = float(f.decay)
+    return coeffs
+
+
+def _axis_factors(mu, decay, axes, shape) -> list:
+    """V[a][i, p] = x_i^(2p) x_i^(mu_a+1/2) exp(-decay x_i^2) on axes[a], p < shape[a]."""
+    decay = float(decay)
     factors = []
-    for x, m, d in zip(axes, f.mu, shape):
+    for x, m, d in zip(axes, mu, shape):
         s = x * x
         base = x ** (float(m) + 0.5)
         if decay:
             base = base * np.exp(-decay * s)
         factors.append(s[:, None] ** np.arange(d) * base[:, None])
-    return coeffs, factors
+    return factors
+
+
+def _axis_images(mu, factors, grid: GridSpec, rule: QuadratureRule) -> list:
+    """Transforms K_a V_a of axis factors onto grid.axes[a], K_a the kernel of order mu_a."""
+    return [_kernel_matrix(float(m), y, rule) @ v for m, y, v in zip(mu, grid.axes, factors)]
 
 
 def _contract(core, mats) -> np.ndarray:
@@ -172,11 +184,7 @@ def hankel_nd(mu, f, grid: GridSpec, rule: QuadratureRule, *, direct: bool = Fal
     nodes = [rule.nodes] * n
     if isinstance(f, SymbolicHFunction) and not direct:
         coeffs, factors = _family_factors(f, nodes)
-        mats = [
-            _kernel_matrix(float(mu[a]), grid.axes[a], rule) @ factors[a]
-            for a in range(n)
-        ]
-        return GridFunction(grid, _contract(coeffs, mats), mu)
+        return GridFunction(grid, _contract(coeffs, _axis_images(mu, factors, grid, rule)), mu)
     vals = sample_on_nodes(f, nodes)
     kernels = [_kernel_matrix(float(mu[a]), grid.axes[a], rule) for a in range(n)]
     if direct:

@@ -154,6 +154,15 @@ def test_numpy_scalar_coefficients():
             MuVector([value])
 
 
+def test_integer_beyond_the_float_range_is_refused():
+    # as the same value written as a string is; 10^5000 has no repr
+    for value in (10**400, -(10**400), 10**5000):
+        with pytest.raises(DomainError):
+            MuVector([value])
+        with pytest.raises(DomainError):
+            EvenPolynomial(1, {(0,): value})
+
+
 def test_c_mu_refuses_an_order_whose_gamma_overflows():
     # 2^mu would overflow first; gamma_fn's refusal comes before it
     with pytest.raises(DomainError):

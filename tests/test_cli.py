@@ -274,6 +274,17 @@ def test_missing_spec_file():
 
 
 @pytest.mark.parametrize(
+    "raw", [b'{"mu": [' + b"1" * 5000 + b"]}", b'\xff\xfe{"mu": [1]}'], ids=["integer-of-5000-digits", "not-utf-8"]
+)
+def test_unreadable_spec_text_exit_2(tmp_path, raw, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    assert main(["transform", "--spec", str(path), "--grid", "0.5:2:4"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         {"mu": "1/2", "function": GAUSS_1D["function"]},
@@ -436,8 +447,12 @@ _BIG = 100000000000
         ({"mu": ["1/2"], "operator": {"terms": [{"k": [_BIG], "a": 1}]}}, ["kernel", "--degree", "1", "--skip-weak"], 3),
         ({"mu": ["1/2"], "operator": {"terms": [{"k": [1], "a": 1}]}}, ["kernel", "--degree", "100000"], 3),
         (dict(GAUSS_1D, mu=[_BIG]), ["pair-delta", "-k", "0"], 2),
+        (dict(GAUSS_1D, mu=[10**400]), ["transform", "--grid", "0.5:2:4"], 2),
     ],
-    ids=["pair-delta-k", "taylor-order", "multiplier-order", "transform-k", "kernel-k", "kernel-degree", "pair-delta-mu"],
+    ids=[
+        "pair-delta-k", "taylor-order", "multiplier-order", "transform-k", "kernel-k", "kernel-degree",
+        "pair-delta-mu", "transform-mu-beyond-float",
+    ],
 )
 def test_oversized_input_is_refused(tmp_path, spec, argv, code, capsys):
     # each size is checked before the loop or array it would drive

@@ -14,6 +14,7 @@ from hankelc import (
     EvenRational,
     ExtrapolationDiverged,
     HypothesisFailed,
+    LimitExceeded,
     MultiIndex,
     MultiplierForm,
     MuVector,
@@ -205,6 +206,20 @@ def test_hankel_delta_structure():
     assert g.decay == 0
     assert g.poly.coefficient((1,)) == c_k_mu(mu, (1,))
     assert g.poly.coefficient((1,)) == Fraction(-1, 3)
+
+
+def test_delta_transform_refuses_an_index_above_the_power_cap():
+    # c_k_mu loops k_i times per axis, so the cap comes before the loop;
+    # |k| = 101 returns quickly without it, 10^11 would run unbounded
+    mu = MuVector(["1/2"])
+    assert c_k_mu(mu, (100,)) != 0
+    for k in [(101,), (10**11,)]:
+        with pytest.raises(LimitExceeded):
+            c_k_mu(mu, k)
+        with pytest.raises(LimitExceeded):
+            hankel_delta(k, mu)
+        with pytest.raises(LimitExceeded):
+            DeltaCombination(mu, {k: 1}).transform()
 
 
 def test_pair_delta_transform_closed_value():

@@ -1,5 +1,6 @@
 """Kernel solves with exact certificates and the independent weak check."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from hankelc import (
     hankel_nd,
     liouville,
     liouville_solve,
+    sample_on_nodes,
     weak_spectral_check,
 )
 
@@ -199,3 +201,98 @@ def test_float_operator_coefficients_solve_exactly(a):
     exact = _operator(2, {(1, 0): Fraction(a), (0, 1): 1})
     assert all(apply_L(exact, b).poly.is_zero for b in basis)
     assert all(r < 1e-6 for r in cert.weak_residuals)
+
+
+def _reference_weak_residuals(basis, P, mu, family, rule):
+    """The per-member loop: hankel_nd of every P[x^2] phi on the node grid
+    and one sum over the grid per pairing."""
+    mu = MuVector(mu)
+    grid = GridSpec([rule.nodes] * mu.dim)
+    weight = np.prod(np.meshgrid(*[rule.weights] * mu.dim, indexing="ij"), axis=0)
+    weighted = [weight * sample_on_nodes(f, grid.axes) for f in basis]
+    worst = [0.0] * len(basis)
+    for phi in family:
+        g = SymbolicHFunction(mu, phi.poly * P, phi.decay)
+        hg = hankel_nd(mu, g, grid, rule).values
+        for i, wf in enumerate(weighted):
+            ratio = abs(np.sum(wf * hg)) / np.sum(np.abs(wf) * np.abs(hg))
+            worst[i] = max(worst[i], ratio)
+    return worst
+
+
+def _agrees(got, want, kernel_count):
+    """Kernel residuals within 1e-14 absolute, control scores within 1e-12
+    relative; the first kernel_count entries are kernel elements."""
+    return all(
+        abs(g - w) <= (1e-14 if i < kernel_count else 1e-12 * abs(w))
+        for i, (g, w) in enumerate(zip(got, want, strict=True))
+    )
+
+
+_SMALL_RADIUS = default_rule_for(Fraction(1, 2)).radius
+_PAIRING_CASES = [
+    # (mu, operator, degree, controls, custom family and rule)
+    (["-1/4"], {(1,): 1}, 0, [{(1,): 1}], False),
+    (["1/3"], {(2,): 1}, 3, [{(2,): 1}, {(0,): 1, (3,): 2}], False),
+    (["5/2"], {(1,): 2, (2,): 1}, 2, [], True),
+    (["-1/4", "1/2"], {(1, 0): 1, (0, 1): 1}, 0, [], False),
+    (["1/3", "3/4"], {(1, 0): 1, (0, 1): 2}, 1, [{(1, 0): 1}], False),
+    (["1/3", "3/4"], {(1, 0): 1, (0, 1): 1}, 2, [{(1, 0): 1}, {(0, 2): 1, (1, 1): -3}], True),
+    (["5/2", "5/2"], {(1, 0): 1, (0, 1): 1}, 2, [{(1, 0): 1}], False),
+    # 3-D needs the small rule: the default rule's node grid is over the cap
+    (["1/3", "1/2", "3/2"], {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}, 1, [{(0, 1, 0): 1}], True),
+]
+
+
+def _pairing_case(mu, op, degree, controls, custom):
+    mu = MuVector(mu)
+    P = _operator(mu.dim, op)
+    basis, _ = liouville_solve(P, mu, degree, skip_weak=True)
+    candidates = basis + [SymbolicHFunction(mu, EvenPolynomial(mu.dim, c), 0) for c in controls]
+    family, rule = default_weak_family(mu), liouville._default_weak_rule()
+    if custom:
+        rule = build_quadrature(_SMALL_RADIUS, 8, 4)
+        family = default_weak_family(mu, count=4, seed=3) + (
+            SymbolicHFunction(mu, EvenPolynomial(mu.dim, {(1,) * mu.dim: 1, (0,) * mu.dim: -2}), 1),
+        )
+    return P, mu, candidates, len(basis), family, rule
+
+
+@pytest.mark.parametrize("case", _PAIRING_CASES, ids=[f"{len(c[0])}d-{i}" for i, c in enumerate(_PAIRING_CASES)])
+def test_weak_pairing_matches_per_member_reference(case):
+    P, mu, candidates, kernel_count, family, rule = _pairing_case(*case)
+    assert 1 <= len(candidates) <= 5
+    got = liouville._weak_residuals(candidates, P, mu, family, rule)
+    want = _reference_weak_residuals(candidates, P, mu, family, rule)
+    assert _agrees(got, want, kernel_count), (got, want)
+
+
+def test_weak_pairing_reference_rejects_swapped_axis_images(monkeypatch):
+    # negative control: the images of the two axes exchanged
+    P, mu, candidates, kernel_count, family, rule = _pairing_case(*_PAIRING_CASES[5])
+    want = _reference_weak_residuals(candidates, P, mu, family, rule)
+    images = liouville._axis_images
+    monkeypatch.setattr(liouville, "_axis_images", lambda *args: images(*args)[::-1])
+    got = liouville._weak_residuals(candidates, P, mu, family, rule)
+    assert not _agrees(got, want, kernel_count)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_weak_check_memory_stays_a_few_grid_arrays(count):
+    # the peak is |Hg| and the candidates' |w f|, count + 1 arrays of the
+    # 384^2 grid, plus small terms; holding all 10 member transforms at
+    # once would read count + 10
+    P = _operator(2, {(1, 0): 1, (0, 1): 1})
+    mu = MuVector(["1/2", "1/2"])
+    basis, _ = liouville_solve(P, mu, 2, skip_weak=True)
+    basis = basis[:count]
+    assert len(basis) == count
+    liouville._weak_residuals(basis, P, mu, None, None)  # kernel cache filled
+    grid_bytes = liouville._default_weak_rule().size ** 2 * 8
+    tracemalloc.start()
+    try:
+        liouville._weak_residuals(basis, P, mu, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (count + 2.5) * grid_bytes, peak / grid_bytes
