@@ -42,9 +42,7 @@ def _fd(fn, v, order: int, scale: float):
         return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
     if order == 3:
         return (-f[0] + 2 * f[1] - 2 * f[3] + f[4]) / (2 * h**3)
-    if order == 4:
-        return (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / h**4
-    raise DomainError(f"window derivatives implemented up to order 4, got {order}")
+    return (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / h**4
 
 
 class _RadialWindow:

@@ -45,7 +45,7 @@ from .symbolic import (
     apply_Tk,
     check_hypothesis,
 )
-from .transform import default_rule_for, orthant_pair, sample_on_nodes
+from .transform import _contract, _family_factors, default_rule_for
 
 __all__ = [
     "richardson_limit",
@@ -278,7 +278,8 @@ def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
     powers fall on the kernel, turning it into shifted reduced Bessel
     factors, and the origin limit is Richardson-extrapolated.  rhs pairs
     the closed-form transform c^mu_k t^(mu+2k+1/2) with phi directly.
-    Both use the default rule for phi's decay.
+    Both use the default rule for phi's decay and contract phi's coefficient
+    tensor with per-axis moments, never sampling phi on the node grid.
     """
     mu = MuVector(mu)
     k = MultiIndex(k)
@@ -287,33 +288,27 @@ def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
     if tuple(phi.mu) != tuple(mu):
         raise DomainError("order vector does not match the function's")
     rule = default_rule_for(float(phi.decay))
-    n = mu.dim
-    rhs = orthant_pair(hankel_delta(k, mu), phi, rule)
+    ck = float(c_k_mu(mu, k))
+    coeffs, factors = _family_factors(phi, [rule.nodes] * mu.dim)
+    weights = [rule.weights * rule.nodes ** (float(m) + 2 * ka + 0.5) for m, ka in zip(mu, k)]
 
-    # weighted moment tensor w(t) phi(t) t^(mu+2k+1/2) on the node grid
-    vals = sample_on_nodes(phi, [rule.nodes] * n)
-    for a in range(n):
-        power = float(mu[a]) + 2 * k[a] + 0.5
-        shape = [1] * n
-        shape[a] = rule.size
-        vals = vals * (rule.nodes**power * rule.weights).reshape(shape)
-    sign = -1.0 if k.order % 2 else 1.0
+    def moments(profiles):
+        return [((w * g) @ v)[None, :] for w, g, v in zip(weights, profiles, factors)]
+
+    plain = moments([1.0] * mu.dim)
+    rhs = ck * _contract(coeffs, plain).item()
     # |reduced_bessel(nu, z)| <= its value 1 / (2^nu Gamma(nu+1)) at 0 for
-    # nu >= -1/2, so this bounds the rounding noise of every ladder value
-    floor = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(vals)))
+    # nu >= -1/2, and V_a, w and the powers are >= 0, so the moment sum
+    # with |C| bounds the rounding noise of every ladder value
+    floor = 64.0 * np.finfo(float).eps * _contract(np.abs(coeffs), plain).item()
     floor /= c_mu(mu.shifted(k))
     ladder_vals = []
     for j in _TRANSFORM_LADDER:
         h = 2.0**-j
-        acc = vals
-        for a in range(n):
-            nu_a = float(mu[a]) + k[a]
-            r = reduced_bessel(nu_a, h * rule.nodes)
-            acc = np.tensordot(acc, r, axes=(0, 0))
-        ladder_vals.append(sign * float(acc))
+        bessel = [reduced_bessel(float(m) + ka, h * rule.nodes) for m, ka in zip(mu, k)]
+        ladder_vals.append(_contract(coeffs, moments(bessel)).item())
     est, err = richardson_limit(ladder_vals, floor=floor)
-    lhs = c_mu(mu) * est
-    return {"lhs": lhs, "rhs": rhs, "ladder_error": c_mu(mu) * err}
+    return {"lhs": (-1) ** k.order * c_mu(mu) * est, "rhs": rhs, "ladder_error": c_mu(mu) * err}
 
 
 class DeltaCombination:

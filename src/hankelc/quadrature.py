@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -73,18 +74,19 @@ def build_quadrature(
         raise LimitExceeded(
             f"rule would have {total} points, cap is {MAX_RULE_POINTS}"
         )
-    base_x, base_w = np.polynomial.legendre.leggauss(points_per_panel)
+    base_x, base_w = _gauss_legendre(points_per_panel)
     width = radius / panels
-    nodes = np.empty(total)
-    weights = np.empty(total)
-    for p in range(panels):
-        a = p * width
-        mid = a + 0.5 * width
-        half = 0.5 * width
-        sl = slice(p * points_per_panel, (p + 1) * points_per_panel)
-        nodes[sl] = mid + half * base_x
-        weights[sl] = half * base_w
-    return QuadratureRule(nodes, weights, radius, points_per_panel, panels)
+    nodes = (np.arange(panels) * width + 0.5 * width)[:, None] + 0.5 * width * base_x
+    weights = np.tile(0.5 * width * base_w, panels)
+    return QuadratureRule(nodes.ravel(), weights, radius, points_per_panel, panels)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: builds share them."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def truncation_radius(decay: float) -> float:

@@ -521,7 +521,7 @@ def koh_zemanian_coeffs(k: int, mu_axis) -> dict:
     """
     if k < 0:
         raise DomainError(f"power must be >= 0, got {k}")
-    mu_axis = _coeff(mu_axis) if not isinstance(mu_axis, float) else mu_axis
+    mu_axis = _coeff(mu_axis)
     out = {}
     for l in range(k + 1):
         b = Fraction(2 ** (k - l) * math.comb(k, l))
@@ -775,7 +775,7 @@ class EvenRational:
         if power < 0:
             raise DomainError(f"power must be >= 0, got {power}")
         self.denom = denom
-        self.power = power if not denom.is_zero else 0
+        self.power = power
 
     @property
     def dim(self) -> int:

@@ -111,9 +111,12 @@ def sample_on_nodes(f, axes) -> np.ndarray:
     f may be a SymbolicHFunction, an ndarray of precomputed values, or a
     callable that takes n coordinate arrays and broadcasts over them.
     Family members are evaluated axis by axis, without forming the mesh.
+    A grid of more than MAX_GRID_POINTS points raises LimitExceeded.
     """
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     shape = tuple(a.size for a in axes)
+    if math.prod(shape) > MAX_GRID_POINTS:
+        raise LimitExceeded(f"node grid {shape} exceeds the cap of {MAX_GRID_POINTS} points")
     if isinstance(f, np.ndarray):
         if f.shape != shape:
             raise DimensionMismatch(

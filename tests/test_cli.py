@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,28 @@ def test_power_without_denominator(tmp_path):
     }
     path = _write_spec(tmp_path, spec)
     assert main(["multiplier", "--spec", path, "--max-order", "0"]) == 2
+
+
+def test_3d_windowed_transform_hits_the_node_grid_cap(tmp_path, capsys):
+    # the windowed member is sampled on the default rule's 384^3 nodes,
+    # which the cap refuses before any mesh is formed
+    spec = {
+        "mu": ["1/2", "1/2", "1/2"],
+        "function": {"decay": "1/2", "terms": [{"k": [0, 0, 0], "q": 1}]},
+        "window": {"kind": "outer", "inner": 1.0, "outer": 2.0},
+    }
+    path = _write_spec(tmp_path, spec)
+    tracemalloc.start()
+    try:
+        code = main(["transform", "--spec", path, "--grid", "0.5:2:4"])
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "4000000 points" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert peak < 5_000_000
 
 
 def test_quad_cap_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Delta pairings, Taylor germs, functional reconstruction, multipliers."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,15 +25,20 @@ from hankelc import (
     WindowedHFunction,
     c_k_mu,
     c_mu,
+    default_rule_for,
     hankel_delta,
     multiplier_check,
+    orthant_pair,
     pair_delta,
     pair_delta_transform,
     pair_s_delta,
     reconstruct_point_supported,
     richardson_limit,
+    sample_on_nodes,
     taylor_coeffs,
 )
+from hankelc import distributions as distributions_module
+from hankelc.bessel import reduced_bessel
 from hankelc.multiindex import mi_below, mi_graded_enumerate
 
 HALF = Fraction(1, 2)
@@ -254,6 +260,108 @@ def test_pair_delta_transform_zero_identity(k, mu, decay, terms):
     phi = SymbolicHFunction(MuVector(mu), EvenPolynomial(2, terms), decay)
     out = pair_delta_transform(k, mu, phi)
     assert abs(out["lhs"]) < 1e-12 and abs(out["rhs"]) < 1e-12
+
+
+def _reference_pair_delta_transform(k, mu, phi):
+    """The node-grid route: phi sampled on the full N^n node grid, the
+    ladder summed over the grid, rhs paired through hankel_delta."""
+    mu = MuVector(mu)
+    k = MultiIndex(k)
+    rule = default_rule_for(float(phi.decay))
+    n = mu.dim
+    rhs = orthant_pair(hankel_delta(k, mu), phi, rule)
+    vals = sample_on_nodes(phi, [rule.nodes] * n)
+    for a in range(n):
+        power = float(mu[a]) + 2 * k[a] + 0.5
+        shape = [1] * n
+        shape[a] = rule.size
+        vals = vals * (rule.nodes**power * rule.weights).reshape(shape)
+    sign = -1.0 if k.order % 2 else 1.0
+    floor = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(vals)))
+    floor /= c_mu(mu.shifted(k))
+    ladder_vals = []
+    for j in distributions_module._TRANSFORM_LADDER:
+        h = 2.0**-j
+        acc = vals
+        for a in range(n):
+            r = reduced_bessel(float(mu[a]) + k[a], h * rule.nodes)
+            acc = np.tensordot(acc, r, axes=(0, 0))
+        ladder_vals.append(sign * float(acc))
+    est, err = richardson_limit(ladder_vals, floor=floor)
+    return {"lhs": c_mu(mu) * est, "rhs": rhs, "ladder_error": c_mu(mu) * err}
+
+
+def _pairing_scale(k, mu, terms, decay):
+    """sum_j |q_j| |c^mu_k| prod_a G(mu_a+k_a+j_a+1) / (2 c^(mu_a+k_a+j_a+1)),
+    the size of <c^mu_k t^(mu+2k+1/2), phi> with every term taken positive."""
+    c = float(decay)
+    ck = abs(float(c_k_mu(MuVector(mu), k)))
+    total = 0.0
+    for j, q in terms.items():
+        term = abs(float(q)) * ck
+        for m, ka, ja in zip(mu, k, j):
+            a = float(Fraction(m)) + ka + ja + 1
+            term *= math.gamma(a) / (2.0 * c**a)
+        total += term
+    return total
+
+
+def _matches_reference(out, ref, scale):
+    return all(abs(out[side] - ref[side]) <= 1e-13 * scale for side in ("lhs", "rhs"))
+
+
+_REFERENCE_CASES = [
+    ((0,), ["-1/2"], Fraction(1, 3), {(0,): 1, (1,): Fraction(-2, 3)}),
+    ((1,), ["1/4"], HALF, {(1,): 3}),
+    ((2,), ["15/2"], Fraction(2), {(0,): 1, (2,): Fraction(1, 4)}),
+    ((2,), ["0"], Fraction(1), {(0,): -1, (1,): 2, (2,): Fraction(1, 5)}),
+    ((0, 0), ["1/2", "0"], HALF, {(0, 0): 1, (1, 0): -HALF}),
+    ((2, 2), ["0", "1/4"], Fraction(1), {(0, 0): 1, (1, 1): -HALF, (2, 0): Fraction(1, 3)}),
+    ((1, 2), ["-1/2", "15/2"], Fraction(1, 3), {(0, 1): 2, (1, 0): -1}),
+    ((0, 1), ["1/4", "-1/2"], Fraction(2), {(0, 0): 1, (2, 1): Fraction(3, 4)}),
+    # the two zero-identity cases: the ladder is rounding noise around 0
+    ((1, 1), ["0", "-1/2"], Fraction(1, 3), {(0, 0): Fraction(3, 2), (0, 1): 1, (1, 0): -1}),
+    ((1, 2), ["5/2", "3/2"], Fraction(2), {(0, 1): -2, (1, 0): 2}),
+]
+
+
+@pytest.mark.parametrize("k, mu, decay, terms", _REFERENCE_CASES)
+def test_pair_delta_transform_matches_the_node_grid_route(k, mu, decay, terms):
+    phi = SymbolicHFunction(MuVector(mu), EvenPolynomial(len(mu), terms), decay)
+    out = pair_delta_transform(k, mu, phi)
+    ref = _reference_pair_delta_transform(k, mu, phi)
+    assert _matches_reference(out, ref, _pairing_scale(k, mu, terms, decay))
+
+
+def test_swapped_axis_factors_fail_the_reference_comparison(monkeypatch):
+    # pairing axis 0's moments with axis 1's factors must not pass unseen
+    k, mu, decay, terms = (1, 0), ["0", "3/2"], HALF, {(0, 0): 1, (1, 1): -HALF}
+    phi = SymbolicHFunction(MuVector(mu), EvenPolynomial(2, terms), decay)
+    ref = _reference_pair_delta_transform(k, mu, phi)
+    scale = _pairing_scale(k, mu, terms, decay)
+    assert _matches_reference(pair_delta_transform(k, mu, phi), ref, scale)
+    family_factors = distributions_module._family_factors
+
+    def swapped(f, axes):
+        coeffs, factors = family_factors(f, axes)
+        return coeffs, factors[::-1]
+
+    monkeypatch.setattr(distributions_module, "_family_factors", swapped)
+    assert not _matches_reference(pair_delta_transform(k, mu, phi), ref, scale)
+
+
+def test_pair_delta_transform_3d_stays_off_the_node_grid():
+    # the node-grid route held the 384^3 grid several times over (~1.3 GB)
+    k, mu, decay, terms = (1, 0, 1), ["1/2", "0", "3/2"], HALF, {(0, 0, 0): 1, (1, 0, 1): Fraction(-2, 3)}
+    phi = SymbolicHFunction(MuVector(mu), EvenPolynomial(3, terms), decay)
+    tracemalloc.start()
+    try:
+        out = pair_delta_transform(k, mu, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert abs(out["lhs"] - out["rhs"]) <= 1e-13 * _pairing_scale(k, mu, terms, decay)
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,38 @@ def test_grid_function_validation():
         GridFunction(spec, np.ones((3, 3)), ["1/2"])
     with pytest.raises(DimensionMismatch):
         GridFunction(spec, np.ones(3), ["1/2", "1/2"])
+
+
+def _looped_rule(radius, points_per_panel, panels):
+    """Panel-by-panel assembly of the composite rule, the reference for
+    build_quadrature's vectorized one."""
+    base_x, base_w = np.polynomial.legendre.leggauss(points_per_panel)
+    width = radius / panels
+    nodes = np.empty(points_per_panel * panels)
+    weights = np.empty(points_per_panel * panels)
+    for p in range(panels):
+        mid = p * width + 0.5 * width
+        half = 0.5 * width
+        sl = slice(p * points_per_panel, (p + 1) * points_per_panel)
+        nodes[sl] = mid + half * base_x
+        weights[sl] = half * base_w
+    return nodes, weights
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0, 7.5, 11.36, 1e3])
+@pytest.mark.parametrize("points, panels", [(2, 1), (3, 7), (8, 5), (24, 16), (13, 40)])
+def test_rule_is_bit_identical_to_the_panel_loop(radius, points, panels):
+    rule = build_quadrature(radius, points_per_panel=points, panels=panels)
+    nodes, weights = _looped_rule(radius, points, panels)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+
+
+def test_rules_do_not_share_the_cached_base_pair():
+    first = build_quadrature(2.0, points_per_panel=6, panels=1)
+    first.nodes[:] = 0.0
+    first.weights[:] = 0.0
+    again = build_quadrature(2.0, points_per_panel=6, panels=1)
+    nodes, weights = _looped_rule(2.0, 6, 1)
+    assert np.array_equal(again.nodes, nodes)
+    assert np.array_equal(again.weights, weights)

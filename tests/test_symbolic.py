@@ -252,6 +252,16 @@ def test_kz_first_order():
     assert table == {0: 3, 1: 1}
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_kz_rejects_a_non_finite_float_order(mu):
+    with pytest.raises(DomainError):
+        koh_zemanian_coeffs(2, mu)
+
+
+def test_kz_keeps_a_finite_float_order():
+    assert koh_zemanian_coeffs(1, 0.5) == {0: 3.0, 1: 1}
+
+
 def test_kz_leading_coefficient():
     # b_{0,k} = 2^k (mu+1)(mu+2)...(mu+k)
     mu = Fraction(1, 2)

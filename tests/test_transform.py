@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +289,43 @@ def test_coefficient_tensor_is_capped_before_allocation():
     f = SymbolicHFunction(["1/2"], EvenPolynomial.monomial((100000000000,)), HALF)
     with pytest.raises(LimitExceeded):
         sample_on_nodes(f, [np.array([1.0])])
+
+
+def _peak_bytes(call):
+    """Peak traced allocation while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_node_grid_cap_refuses_a_callable_before_the_mesh():
+    rule = default_rule_for(0.5)
+    calls = []
+
+    def f(*coords):
+        calls.append(len(coords))
+        return coords[0]
+
+    def refused():
+        with pytest.raises(LimitExceeded, match="4000000"):
+            sample_on_nodes(f, [rule.nodes] * 3)
+
+    assert rule.size**3 > 4_000_000
+    assert _peak_bytes(refused) < 1_000_000
+    assert calls == []
+
+
+def test_node_grid_cap_refuses_orthant_pair_of_3d_members():
+    rule = default_rule_for(0.5)
+    f = _gaussian(["1/2", "0", "3/2"])
+    g = SymbolicHFunction(f.mu, EvenPolynomial(3, {(0, 0, 0): 1, (1, 0, 1): -2}), HALF)
+
+    def refused():
+        with pytest.raises(LimitExceeded, match="4000000"):
+            orthant_pair(f, g, rule)
+
+    assert _peak_bytes(refused) < 1_000_000
