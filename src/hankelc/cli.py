@@ -18,6 +18,7 @@ operator hypothesis was refuted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -317,16 +318,17 @@ def cmd_multiplier(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main sets the default
+    of --threads from HANKELC_THREADS before each parse."""
     parser = argparse.ArgumentParser(
         prog="hankelc",
         description="Bessel-operator calculus and Hankel transforms on the orthant",
     )
-    default_threads = int(os.environ.get("HANKELC_THREADS", "1"))
     parser.add_argument(
         "--threads",
         type=int,
-        default=default_threads,
         help="worker threads for verify suites (env HANKELC_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # a str default goes through type=int at parse time, like a typed value
+    parser.set_defaults(threads=os.environ.get("HANKELC_THREADS", "1"))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -280,7 +280,10 @@ def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
     the closed-form transform c^mu_k t^(mu+2k+1/2) with phi directly.
     Both use the default rule for phi's decay and contract phi's coefficient
     tensor with per-axis moments, never sampling phi on the node grid.
+    A windowed phi has no closed-form transform and raises DomainError.
     """
+    if not isinstance(phi, SymbolicHFunction):
+        raise DomainError("the transform check needs an unwindowed family member")
     mu = MuVector(mu)
     k = MultiIndex(k)
     if k.dim != mu.dim:

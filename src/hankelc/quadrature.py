@@ -25,6 +25,9 @@ DEFAULT_POINTS_PER_PANEL = 24
 DEFAULT_PANELS = 16
 DEFAULT_TAIL_TOL = 1e-14
 MAX_RULE_POINTS = 250_000
+# leggauss(p) forms a dense p x p matrix, so the points of one panel are
+# capped on their own; callers use at most a few dozen
+MAX_PANEL_POINTS = 1_000
 MAX_GRID_POINTS = 4_000_000
 
 
@@ -69,6 +72,10 @@ def build_quadrature(
         raise DomainError(f"need at least 2 points per panel, got {points_per_panel}")
     if panels < 1:
         raise DomainError(f"need at least 1 panel, got {panels}")
+    if points_per_panel > MAX_PANEL_POINTS:
+        raise LimitExceeded(
+            f"{points_per_panel} points per panel, cap is {MAX_PANEL_POINTS}"
+        )
     total = points_per_panel * panels
     if total > MAX_RULE_POINTS:
         raise LimitExceeded(

@@ -139,8 +139,9 @@ def _check_arguments(ys: np.ndarray, rule: QuadratureRule):
 
 
 # repeated transforms (weak checks, pairings) reuse identical kernel
-# matrices, so keep a small FIFO cache keyed by the exact inputs; the
-# verify thread pool shares it, and cached arrays are read-only
+# matrices, so keep a small LRU cache keyed by the exact inputs: a hit
+# moves its key to the back, and eviction drops the front.  The verify
+# thread pool shares it, and cached arrays are read-only
 _KERNEL_CACHE: dict = {}
 _KERNEL_CACHE_CAP = 32
 _KERNEL_LOCK = threading.Lock()
@@ -150,9 +151,10 @@ def _kernel_matrix(alpha, ys, rule: QuadratureRule) -> np.ndarray:
     """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i)."""
     key = (float(alpha), ys.tobytes(), rule.nodes.tobytes(), rule.weights.tobytes())
     with _KERNEL_LOCK:
-        hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
+        hit = _KERNEL_CACHE.pop(key, None)
+        if hit is not None:
+            _KERNEL_CACHE[key] = hit
+            return hit
     z = np.outer(ys, rule.nodes)
     value = np.sqrt(z) * bessel_j(alpha, z) * rule.weights[None, :]
     value.setflags(write=False)

@@ -4,6 +4,7 @@ scipy.special and math.gamma serve as oracles here only; the library
 itself never imports them for Bessel/Gamma evaluation.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from hankelc import (
     gamma_fn,
     reduced_bessel,
 )
+from hankelc import bessel as bessel_module
 from fractions import Fraction
 
 
@@ -56,6 +58,55 @@ def test_bessel_vs_scipy(nu):
     ours = bessel_j(nu, z)
     ref = sps.jv(nu, z)
     assert float(np.max(np.abs(ours - ref))) < 1e-10
+
+
+HALF_INTEGER_ORDERS = [(2 * n + 1) / 2 for n in range(-1, 21)]  # -1/2 .. 41/2
+
+
+def _finite_range(nu):
+    """The z in (12, 200] that a half-integer order's terminating expansion serves."""
+    z = np.linspace(12.0, 200.0, 9401)[1:]
+    return z[z >= bessel_module._finite_cutoff(nu, bessel_module._finite_terms(nu))]
+
+
+def _finite_error(evaluate, nu):
+    z = _finite_range(nu)
+    return float(np.max(np.abs(evaluate(nu, z) - sps.jv(nu, z))))
+
+
+@pytest.mark.parametrize("nu", HALF_INTEGER_ORDERS)
+def test_half_integer_orders_match_scipy_where_the_expansion_terminates(nu, monkeypatch):
+    assert bessel_module._finite_terms(nu) == abs(nu) + 0.5
+    z = _finite_range(nu)
+    # every z > 12 up to 27/2, and most of the sweep for the higher orders
+    assert z.size >= (9400 if nu <= 13.5 else 8000)
+
+    def refuse(nu, z):
+        raise AssertionError("Miller's recurrence served a point of the expansion's range")
+
+    monkeypatch.setattr(bessel_module, "_miller_j", refuse)
+    assert _finite_error(bessel_j, nu) <= 1e-13
+
+
+def test_a_cut_expansion_fails_the_half_integer_check():
+    # the growth stop that truncates other orders ends 15/2's sum after
+    # j = 1 near z = 12, where its second term is larger than its first
+    assert _finite_error(bessel_module._asymptotic_j, 7.5) > 1e-13
+    for nu in (1.5, 7.5, 20.5):
+        short = bessel_module._finite_terms(nu) - 1
+        assert _finite_error(lambda n, z: bessel_module._asymptotic_j(n, z, short), nu) > 1e-13
+
+
+def test_other_orders_keep_their_routes_bit_for_bit():
+    # the digest of bessel_j and reduced_bessel before half-integer orders
+    # got the terminating expansion (numpy 2.4, x86-64)
+    z = np.linspace(0.0, 200.0, 200001)
+    digest = hashlib.sha1()
+    for nu in (0, 1, Fraction(1, 4), Fraction(7, 3), 10):
+        digest.update(bessel_j(nu, z).tobytes())
+        digest.update(reduced_bessel(nu, z).tobytes())
+    assert digest.hexdigest() == "6885e986e2f4cea01fc079b8b3d9873802427865"
+    assert bessel_module._finite_terms(0.25) == bessel_module._finite_terms(10.0) == 0
 
 
 def test_bessel_half_order_closed_forms():

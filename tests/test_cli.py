@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import hankelc
-from hankelc.cli import main
+from hankelc import quadrature as quadrature_module
+from hankelc.cli import build_parser, main
 
 GAUSS_1D = {
     "mu": ["1/2"],
@@ -169,6 +170,31 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] taylor/made_up" in out
     assert out.strip().endswith("verify: FAILURES above")
+
+
+def test_parser_is_built_once_and_reads_threads_at_parse_time(monkeypatch):
+    import hankelc.cli as cli_mod
+
+    seen = []
+
+    def fake_run_all(names, negative_controls, threads):
+        seen.append(threads)
+        return []
+
+    monkeypatch.setattr(cli_mod, "run_all", fake_run_all)
+    monkeypatch.delenv("HANKELC_THREADS", raising=False)
+    assert main(["verify", "taylor"]) == 0
+    for value in ("3", "2"):
+        monkeypatch.setenv("HANKELC_THREADS", value)
+        assert main(["verify", "taylor"]) == 0
+    assert main(["--threads", "4", "verify", "taylor"]) == 0
+    assert seen == [1, 3, 2, 4]
+    assert build_parser() is build_parser()
+    # a malformed value is an input error, like a malformed --threads
+    monkeypatch.setenv("HANKELC_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "taylor"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +537,17 @@ def test_quad_cap_exit_code(tmp_path):
         ["transform", "--spec", path, "--grid", "0.5:2:4", "--quad", "1000:300"]
     )
     assert code == 3
+
+
+def test_points_per_panel_cap_exit_code(tmp_path, capsys, monkeypatch):
+    def refuse(points):
+        raise AssertionError(f"Gauss-Legendre nodes for {points} points were built")
+
+    monkeypatch.setattr(quadrature_module, "_gauss_legendre", refuse)
+    path = _write_spec(tmp_path, GAUSS_1D)
+    code = main(["transform", "--spec", path, "--grid", "0.5:2:4", "--quad", "250000:1"])
+    assert code == 3
+    assert "per panel" in capsys.readouterr().err
 
 
 def test_bad_grid_syntax(tmp_path):

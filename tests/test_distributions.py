@@ -238,6 +238,12 @@ def test_pair_delta_transform_closed_value():
     assert out["ladder_error"] < 1e-6
 
 
+def test_pair_delta_transform_refuses_a_windowed_function():
+    windowed = WindowedHFunction(_gauss(["1/2"]), CutoffSpec(1.0, 2.0))
+    with pytest.raises(DomainError):
+        pair_delta_transform((1,), ["1/2"], windowed)
+
+
 def test_pair_delta_transform_2d():
     mu = MuVector(["1/2", "0"])
     phi = _gauss(mu, EvenPolynomial(2, {(0, 0): 1, (1, 0): -HALF}))

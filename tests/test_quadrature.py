@@ -16,6 +16,7 @@ from hankelc import (
     geometric_grid,
     truncation_radius,
 )
+from hankelc import quadrature as quadrature_module
 
 
 def test_two_point_panel_nodes():
@@ -70,6 +71,17 @@ def test_rule_validation():
         QuadratureRule([0.5, 0.4], [1, 1], 1.0, 2, 1)  # not increasing
     with pytest.raises(DomainError):
         QuadratureRule([0.5, 1.5], [1, 1], 1.0, 2, 1)  # node outside radius
+
+
+def test_points_per_panel_are_capped_before_the_legendre_matrix(monkeypatch):
+    # leggauss(p) forms a p x p matrix: 466 GiB at p = 250000, within the total cap
+    def refuse(points):
+        raise AssertionError(f"Gauss-Legendre nodes for {points} points were built")
+
+    monkeypatch.setattr(quadrature_module, "_gauss_legendre", refuse)
+    for points in (250_000, quadrature_module.MAX_PANEL_POINTS + 1):
+        with pytest.raises(LimitExceeded):
+            build_quadrature(1.0, points_per_panel=points, panels=1)
 
 
 def test_geometric_grid():

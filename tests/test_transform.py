@@ -253,6 +253,16 @@ def test_cached_kernels_are_read_only():
             kernel[0, 0] = 1.0
 
 
+def test_kernel_cache_keeps_a_key_that_is_hit_after_every_insertion():
+    # least recently used eviction: 32 fresh kernels push out other keys
+    rule = build_quadrature(8.0, points_per_panel=8, panels=4)
+    ys = np.linspace(0.1, 2.0, 5) + 2e-3  # grids no other test uses
+    kept = transform_module._kernel_matrix(0.5, ys, rule)
+    for i in range(transform_module._KERNEL_CACHE_CAP):
+        transform_module._kernel_matrix(0.5, np.linspace(0.1, 3.0 + 0.01 * i, 5) + 2e-3, rule)
+        assert transform_module._kernel_matrix(0.5, ys, rule) is kept
+
+
 def test_kernel_cache_shared_by_two_threads():
     # more distinct grids than the cache holds, so both threads evict
     f = _gaussian(["1/2"])
