@@ -104,12 +104,20 @@ def truncation_radius(decay: float) -> float:
     return math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL) / decay)
 
 
-def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Geometrically spaced grid on [lo, hi]."""
+def _check_axis(lo: float, hi: float, count: int, dim: int = 1):
+    """Refuse an axis spec before anything is allocated: 0 < lo < hi,
+    count >= 2, and count^dim points within MAX_GRID_POINTS."""
     if not 0.0 < lo < hi:
         raise DomainError(f"need 0 < lo < hi, got {lo}, {hi}")
     if count < 2:
         raise DomainError(f"need at least 2 points, got {count}")
+    if count ** dim > MAX_GRID_POINTS:
+        raise LimitExceeded(f"grid would have {count ** dim} points")
+
+
+def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """Geometrically spaced grid on [lo, hi]."""
+    _check_axis(lo, hi, count)
     return np.geomspace(lo, hi, count)
 
 
@@ -138,16 +146,13 @@ class GridSpec:
 
     @classmethod
     def linear(cls, lo: float, hi: float, count: int, dim: int = 1) -> "GridSpec":
-        if not 0.0 < lo < hi:
-            raise DomainError(f"need 0 < lo < hi, got {lo}, {hi}")
-        if count < 2:
-            raise DomainError(f"need at least 2 points, got {count}")
-        axis = np.linspace(lo, hi, count)
-        return cls([axis] * dim)
+        _check_axis(lo, hi, count, dim)
+        return cls([np.linspace(lo, hi, count)] * dim)
 
     @classmethod
     def geometric(cls, lo: float, hi: float, count: int, dim: int = 1) -> "GridSpec":
-        return cls([geometric_grid(lo, hi, count)] * dim)
+        _check_axis(lo, hi, count, dim)
+        return cls([np.geomspace(lo, hi, count)] * dim)
 
     @property
     def dim(self) -> int:

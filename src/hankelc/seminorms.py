@@ -230,10 +230,7 @@ def seminorm_lambda(m: int, k, mu, f: SymbolicHFunction, grid: GridSpec = None) 
 def seminorm_rho(order: int, mu, f: SymbolicHFunction) -> float:
     """Sum of lambda_{m,k} over m <= order and |k| <= order, each on
     default_sup_grid(f, m)."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    if f.decay == 0:
-        raise DecayRequired("seminorms need a decaying family member")
+    _validate(order, [0] * f.dim, mu, f)
     total = 0.0
     for k in mi_graded_enumerate(f.dim, order):
         u = apply_Sk(k, f).u

@@ -15,7 +15,6 @@ float orders degrade gracefully to float coefficients.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -23,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import MuVector, _coeff
-from .errors import DimensionMismatch, DomainError, LimitExceeded, NumericError
+from .errors import DimensionMismatch, DomainError, NumericError
 from .multiindex import (
     MultiIndex,
     _checked_power,
@@ -52,10 +51,6 @@ __all__ = [
     "kernel_basis",
     "check_hypothesis",
 ]
-
-
-# lattice points of check_hypothesis's numerical double check
-_LATTICE_POINTS = 10_000
 
 
 def _terms_from_json(terms, key) -> dict:
@@ -467,9 +462,9 @@ class OperatorPoly(EvenPolynomial):
     """Operator polynomial L = sum_alpha (-1)^|alpha| a_alpha S^alpha.
 
     The coefficient map also defines the plain polynomial
-    P(x) = sum_alpha a_alpha x^alpha used in the hypothesis checks (as
-    `evaluate` at plain coordinates) and the transform-side multiplier
-    P[y^2] (the same coefficients read in the squared coordinates).
+    P(x) = sum_alpha a_alpha x^alpha, whose signs and indices
+    check_hypothesis reads, and the transform-side multiplier P[y^2]
+    (the same coefficients read in the squared coordinates).
     """
 
     __slots__ = ()
@@ -656,8 +651,6 @@ class HypothesisReport:
     sign: int
     orthant_nonvanishing: bool
     failing_axis: int | None
-    grid_min_abs: float
-    grid_points: int
     reason: str | None
 
     def to_json(self) -> dict:
@@ -667,26 +660,6 @@ class HypothesisReport:
         return bool(self.passed)
 
 
-@functools.lru_cache(maxsize=32)
-def _simplex_lattice(n: int, target: int) -> np.ndarray:
-    """Lattice on the unit simplex with roughly `target` points, one per row.
-
-    The rows are the compositions of m into n parts (stars and bars: the
-    gaps between n-1 bars among m+n-1 slots), divided by m.  The lattice
-    depends only on (n, target), so it is built once and shared read-only.
-    """
-    if n == 1:
-        pts = np.ones((1, 1))
-    else:
-        m = 1
-        while math.comb(m + n - 1, n - 1) < target:
-            m += 1
-        bars = np.array(list(itertools.combinations(range(m + n - 1), n - 1)))
-        pts = (np.diff(bars, axis=1, prepend=-1, append=m + n - 1) - 1) / m
-    pts.setflags(write=False)
-    return pts
-
-
 def check_hypothesis(P: EvenPolynomial) -> HypothesisReport:
     """Test that P has same-sign coefficients and no zero on the closed
     positive orthant away from the origin.
@@ -694,44 +667,29 @@ def check_hypothesis(P: EvenPolynomial) -> HypothesisReport:
     P is read with plain powers, P(x) = sum_k p_k x^k; any EvenPolynomial
     (an OperatorPoly or a multiplier denominator) can be passed.
 
-    The structural criterion is exact: with same-sign coefficients, P is
-    orthant-nonvanishing away from 0 iff the constant term is nonzero or
-    every axis carries a pure power of that variable.  A lattice on the
-    unit simplex double-checks the conclusion numerically.
+    The test is exact and reads only the coefficients' signs and indices:
+    with same-sign coefficients, P vanishes at some x >= 0, x != 0 only
+    if every term vanishes there, so P is orthant-nonvanishing away from
+    0 iff the constant term is nonzero or every axis carries a pure power
+    of that variable.
     """
     signs = {1 if v > 0 else -1 for _, v in P.items()}
     same_sign = len(signs) == 1
     sign = signs.pop() if same_sign else 0
 
-    zero = MultiIndex([0] * P.dim)
     failing_axis = None
-    if P.coefficient(zero) != 0:
-        orthant = True
-    else:
-        orthant = True
+    if P.constant_term() == 0:
         for axis in range(P.dim):
-            has_pure = any(
-                k[axis] > 0 and all(k[i] == 0 for i in range(P.dim) if i != axis)
-                for k, _ in P.items()
-            )
-            if not has_pure:
-                orthant = False
+            if not any(k[axis] == k.order > 0 for k, _ in P.items()):
                 failing_axis = axis
                 break
+    orthant = failing_axis is None
 
-    # numerical double check on the simplex; same-sign coefficients mean a
-    # float sum of the terms has no cancellation, so a zero there is exact
-    pts = _simplex_lattice(P.dim, _LATTICE_POINTS)
-    vals = np.abs(P.evaluate(pts.T))
-    grid_min = float(np.min(vals)) if len(pts) else math.inf
-
-    passed = same_sign and orthant and (not same_sign or grid_min > 0.0)
+    passed = same_sign and orthant
     if not same_sign:
         reason = "coefficients change sign"
     elif not orthant:
         reason = f"vanishes along axis {failing_axis} (no pure power term)"
-    elif grid_min == 0.0:
-        reason = "zero found on the unit simplex grid"
     else:
         reason = None
     return HypothesisReport(
@@ -740,8 +698,6 @@ def check_hypothesis(P: EvenPolynomial) -> HypothesisReport:
         sign=sign,
         orthant_nonvanishing=orthant,
         failing_axis=failing_axis,
-        grid_min_abs=grid_min,
-        grid_points=len(pts),
         reason=reason,
     )
 

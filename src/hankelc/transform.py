@@ -23,8 +23,11 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     LimitExceeded,
+    NumericError,
 )
 from .quadrature import (
+    DEFAULT_PANELS,
+    DEFAULT_POINTS_PER_PANEL,
     MAX_GRID_POINTS,
     GridFunction,
     GridSpec,
@@ -46,16 +49,13 @@ __all__ = [
 _DIRECT_CAP = 5_000_000
 
 
-def default_rule_for(decay, points_per_panel=None, panels=None) -> QuadratureRule:
+def default_rule_for(
+    decay, points_per_panel=DEFAULT_POINTS_PER_PANEL, panels=DEFAULT_PANELS
+) -> QuadratureRule:
     """Quadrature rule whose radius covers a Gaussian tail of rate `decay`."""
     if float(decay) <= 0.0:
         raise DecayRequired("a positive decay rate is needed to truncate")
-    kw = {}
-    if points_per_panel is not None:
-        kw["points_per_panel"] = points_per_panel
-    if panels is not None:
-        kw["panels"] = panels
-    return build_quadrature(truncation_radius(float(decay)), **kw)
+    return build_quadrature(truncation_radius(float(decay)), points_per_panel, panels)
 
 
 def _family_factors(f: SymbolicHFunction, axes):
@@ -69,14 +69,18 @@ def _family_factors(f: SymbolicHFunction, axes):
 
 def _coefficient_tensor(poly) -> np.ndarray:
     """C[k] = float coefficient of s^k, shaped (deg_1+1, ..., deg_n+1); a
-    tensor of more than MAX_GRID_POINTS entries raises LimitExceeded."""
+    tensor of more than MAX_GRID_POINTS entries raises LimitExceeded, a
+    coefficient beyond the float range NumericError."""
     terms = poly.items()
     shape = [1 + max((k[a] for k, _ in terms), default=0) for a in range(poly.dim)]
     if math.prod(shape) > MAX_GRID_POINTS:
         raise LimitExceeded(f"coefficient tensor {shape} exceeds {MAX_GRID_POINTS} entries")
     coeffs = np.zeros(shape)
     for k, v in terms:
-        coeffs[tuple(k)] = float(v)
+        try:
+            coeffs[tuple(k)] = float(v)
+        except OverflowError:
+            raise NumericError(f"coefficient of s^{tuple(k)} exceeds the float range") from None
     return coeffs
 
 

@@ -28,7 +28,7 @@ OPTIONS = {
     "SymbolicHFunction": {"decay": 0},
     "WindowedHFunction": {"window": None},
     "build_quadrature": {"points_per_panel": 24, "panels": 16},
-    "default_rule_for": {"points_per_panel": None, "panels": None},
+    "default_rule_for": {"points_per_panel": 24, "panels": 16},
     "default_weak_family": {"count": 10, "seed": 7},
     "hankel_nd": {"direct": False},
     "hankel_roundtrip_residual": {"rule": None},

@@ -108,12 +108,52 @@ def test_kernel_solve(tmp_path, capsys):
 
 
 def test_kernel_hypothesis_exit_code(tmp_path, capsys):
-    spec = {
+    # S_1 - S_2, S_1 S_2 and S_1 + S_1 S_2
+    for terms in [
+        [{"k": [1, 0], "a": 1}, {"k": [0, 1], "a": -1}],
+        [{"k": [1, 1], "a": 1}],
+        [{"k": [1, 0], "a": 1}, {"k": [1, 1], "a": 1}],
+    ]:
+        path = _write_spec(tmp_path, {"mu": ["1/2", "1/2"], "operator": {"terms": terms}})
+        assert main(["kernel", "--spec", path, "--degree", "2"]) == 4
+        assert "hypothesis failed" in capsys.readouterr().err
+
+
+def _tiny_operator_spec(second_axis_power):
+    # S_1 + 10^-400 S_2^p: the second coefficient is 0.0 as a double
+    return {
         "mu": ["1/2", "1/2"],
-        "operator": {"terms": [{"k": [1, 0], "a": 1}, {"k": [0, 1], "a": -1}]},
+        "operator": {
+            "terms": [{"k": [1, 0], "a": 1}, {"k": [0, second_axis_power], "a": "1e-400"}]
+        },
     }
-    path = _write_spec(tmp_path, spec)
-    assert main(["kernel", "--spec", path, "--degree", "2"]) == 4
+
+
+def test_kernel_term_below_the_float_range_passes_the_gate(tmp_path, capsys):
+    path = _write_spec(tmp_path, _tiny_operator_spec(2))
+    code, out = _run(capsys, ["kernel", "--spec", path, "--degree", "2"])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["exact_zero"] == [True] * 3
+    assert all(r <= 1e-6 for r in cert["weak_residuals"])
+    assert cert["hypothesis"] == {
+        "passed": True,
+        "same_sign": True,
+        "sign": 1,
+        "orthant_nonvanishing": True,
+        "failing_axis": None,
+        "reason": None,
+    }
+
+
+def test_kernel_coefficient_beyond_the_float_range_exit_3(tmp_path, capsys):
+    path = _write_spec(tmp_path, _tiny_operator_spec(1))
+    assert main(["kernel", "--spec", path, "--degree", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    code, out = _run(capsys, ["kernel", "--spec", path, "--degree", "2", "--skip-weak"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["exact_zero"] == [True] * 3
 
 
 def test_kernel_float_coefficients_exact(tmp_path, capsys):
@@ -553,6 +593,20 @@ def test_points_per_panel_cap_exit_code(tmp_path, capsys, monkeypatch):
 def test_bad_grid_syntax(tmp_path):
     path = _write_spec(tmp_path, GAUSS_1D)
     assert main(["transform", "--spec", path, "--grid", "alpha:1:2:3"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0.1:4:1000000000000", "geometric:0.1:4:1000000000000"])
+def test_huge_grid_count_exit_3(tmp_path, grid, monkeypatch, capsys):
+    # the count is checked before np.linspace/np.geomspace would allocate it
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("grid axis allocated before the size check")
+
+    monkeypatch.setattr(quadrature_module.np, "linspace", no_allocation)
+    monkeypatch.setattr(quadrature_module.np, "geomspace", no_allocation)
+    path = _write_spec(tmp_path, GAUSS_1D)
+    assert main(["transform", "--spec", path, "--grid", grid]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
 
 
 def test_import_loads_no_scipy():

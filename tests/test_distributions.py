@@ -494,6 +494,40 @@ def test_multiplier_gate_rejects_sign_change():
         multiplier_check(MultiplierForm.quotient(one, denom), 0)
 
 
+_GATE_CASES = [
+    # (denominator terms in 2-D, window, refused)
+    ({(0, 0): 1, (1, 0): 1, (0, 1): 1}, None, False),
+    ({(0, 0): -1, (1, 0): -2}, None, False),  # all-negative is one sign
+    ({(0, 0): 1, (1, 0): 1, (0, 1): -1}, None, True),  # sign change
+    ({(0, 0): 1, (1, 0): 1, (0, 1): -1}, "outer", True),
+    ({(1, 0): 1, (0, 1): 1}, None, True),  # zero constant term, no window
+    ({(1, 0): 1, (0, 1): 1}, "cutoff", True),  # a cutoff keeps the origin
+    ({(1, 0): 1, (0, 1): 1}, "outer", False),
+    ({(2, 0): 1, (0, 3): 4}, "outer", False),
+    ({(1, 0): 1, (1, 1): 1}, "outer", True),  # no pure power of x_2
+    ({(1, 1): 1}, "outer", True),
+]
+
+
+@pytest.mark.parametrize("terms, window, refused", _GATE_CASES)
+def test_multiplier_denominator_gate(terms, window, refused):
+    windows = {None: None, "outer": OuterWindow(1.0, 2.0), "cutoff": CutoffSpec(1.0, 3.0)}
+    one = EvenPolynomial.constant(2, 1)
+    form = MultiplierForm(EvenRational(one, EvenPolynomial(2, terms)), windows[window])
+    if refused:
+        with pytest.raises(HypothesisFailed):
+            distributions_module._denominator_gate(form)
+    else:
+        distributions_module._denominator_gate(form)
+
+
+def test_multiplier_gate_reads_a_tiny_coefficient_exactly():
+    # x_1^2 + 10^-400 x_2^2 is 0.0 at x = (0, 1) in doubles, but not exactly
+    denom = EvenPolynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 10**400)})
+    form = MultiplierForm(EvenRational(EvenPolynomial.constant(2, 1), denom), OuterWindow(1.0, 2.0))
+    distributions_module._denominator_gate(form)
+
+
 def test_multiplier_windowed_inverse_power():
     # 1/x^2 is fine once a far-field window removes the origin
     one = EvenPolynomial.constant(1, 1)

@@ -86,6 +86,33 @@ def test_hypothesis_gate():
         liouville_solve(_operator(2, {(1, 0): 1, (0, 1): -1}), ["1/2", "1/2"], 2)
     with pytest.raises(HypothesisFailed):
         liouville_solve(_operator(2, {(1, 1): 1}), ["1/2", "1/2"], 2)
+    with pytest.raises(HypothesisFailed):
+        liouville_solve(_operator(2, {(1, 0): 1, (1, 1): 1}), ["1/2", "1/2"], 2)
+
+
+_TINY = Fraction(1, 10**400)  # 0.0 as a double
+
+
+def test_term_below_the_float_range_passes_the_gate():
+    # S_1 + 10^-400 S_2^2 meets the hypothesis: the gate reads the
+    # coefficients exactly and never evaluates P in floats
+    basis, cert = liouville_solve(_operator(2, {(1, 0): 1, (0, 2): _TINY}), ["1/2", "1/2"], 2)
+    assert cert.dimension == 3
+    assert cert.exact_zero == [True] * 3
+    assert len(cert.weak_residuals) == 3
+    assert all(r <= 1e-6 for r in cert.weak_residuals)
+    assert cert.hypothesis["passed"] is True
+
+
+def test_kernel_coefficient_beyond_the_float_range_is_a_numeric_error():
+    # S_1 + 10^-400 S_2 has a kernel element with a coefficient of order
+    # 10^400: the exact basis stands, the float weak check cannot run
+    P = _operator(2, {(1, 0): 1, (0, 1): _TINY})
+    with pytest.raises(NumericError):
+        liouville_solve(P, ["1/2", "1/2"], 2)
+    basis, cert = liouville_solve(P, ["1/2", "1/2"], 2, skip_weak=True)
+    assert cert.exact_zero == [True] * len(basis)
+    assert any(abs(v) > 10**300 for b in basis for _, v in b.poly.items())
 
 
 def test_weak_check_rejects_non_kernel_element():

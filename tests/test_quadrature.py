@@ -118,6 +118,28 @@ def test_grid_spec_cap():
         GridSpec.linear(0.1, 1.0, 3000, dim=2)
 
 
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("grid axis allocated before the size check")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GridSpec.linear(0.1, 4.0, 10**12),
+        lambda: GridSpec.geometric(0.1, 4.0, 10**12),
+        lambda: geometric_grid(0.1, 4.0, 10**12),
+        lambda: GridSpec.linear(0.1, 4.0, 200, dim=3),  # 8e6 points
+        lambda: GridSpec.geometric(0.1, 4.0, 2001, dim=2),
+    ],
+    ids=["linear", "geometric", "geometric_grid", "linear-3d", "geometric-2d"],
+)
+def test_grid_count_is_capped_before_allocation(make, monkeypatch):
+    monkeypatch.setattr(np, "linspace", _no_allocation)
+    monkeypatch.setattr(np, "geomspace", _no_allocation)
+    with pytest.raises(LimitExceeded):
+        make()
+
+
 def test_grid_function_roundtrip_and_csv():
     spec = GridSpec.linear(0.5, 2.0, 3, dim=2)
     xs, ys = spec.meshgrid()

@@ -109,6 +109,9 @@ def test_validation_errors():
         seminorm_gamma(0, (0,), ["1/2"], g)
     with pytest.raises(DecayRequired):
         seminorm_rho(1, ["1/2"], g)
+    for order, mu in [(-1, ["1/2"]), (1, ["3/2"]), (1, ["1/2", "1/2"])]:
+        with pytest.raises(DomainError):
+            seminorm_rho(order, mu, f)
 
 
 def test_grid_supremum_polish():
