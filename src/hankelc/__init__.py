@@ -64,7 +64,6 @@ from .quadrature import (
     GridSpec,
     QuadratureRule,
     build_quadrature,
-    geometric_grid,
     truncation_radius,
 )
 from .transform import (
@@ -89,7 +88,6 @@ from .distributions import (
     MultiplierForm,
     MultiplierReport,
     TaylorReport,
-    hankel_delta,
     multiplier_check,
     pair_delta,
     pair_delta_transform,

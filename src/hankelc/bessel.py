@@ -89,13 +89,17 @@ class MuVector(tuple):
     Entries are parsed like coefficients: int, Fraction or "num/den"
     string are kept exact, finite floats stay floats, and booleans and
     non-finite values are rejected.  Exact entries let the symbolic layer
-    produce exact rational coefficients.  An existing MuVector is returned
-    as it is, so MuVector(mu) coerces any accepted input.
+    produce exact rational coefficients.  The entries come as a list, a
+    tuple or a 1-D array; a string, a mapping or any other iterable raises
+    DomainError.  An existing MuVector is returned as it is, so
+    MuVector(mu) coerces any accepted input.
     """
 
     def __new__(cls, entries):
         if isinstance(entries, MuVector):
             return entries
+        if not (isinstance(entries, (list, tuple)) or isinstance(entries, np.ndarray) and entries.ndim == 1):
+            raise DomainError(f"an order vector is a list, a tuple or a 1-D array, not {type(entries).__name__}")
         vals = []
         for i, v in enumerate(entries):
             w = _coeff(v)

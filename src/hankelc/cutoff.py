@@ -120,9 +120,9 @@ class WindowedHFunction:
 
     __slots__ = ("base", "window")
 
-    def __init__(self, base: SymbolicHFunction, window: _RadialWindow = None):
+    def __init__(self, base: SymbolicHFunction, window: _RadialWindow):
         self.base = base
-        if window is not None and not isinstance(window, _RadialWindow):
+        if not isinstance(window, _RadialWindow):
             raise DomainError(f"unsupported window type {type(window)!r}")
         self.window = window
 
@@ -139,7 +139,4 @@ class WindowedHFunction:
         return isinstance(self.window, OuterWindow)
 
     def evaluate(self, coords):
-        val = self.base.evaluate(coords)
-        if self.window is not None:
-            val = val * self.window.value(coords)
-        return val
+        return self.base.evaluate(coords) * self.window.value(coords)

@@ -33,7 +33,7 @@ from .multiindex import (
     mi_factorial,
     mi_graded_enumerate,
 )
-from .quadrature import geometric_grid
+from .quadrature import GridSpec
 from .symbolic import (
     EvenPolynomial,
     EvenRational,
@@ -53,7 +53,6 @@ __all__ = [
     "pair_s_delta",
     "taylor_coeffs",
     "TaylorReport",
-    "hankel_delta",
     "pair_delta_transform",
     "DeltaCombination",
     "reconstruct_point_supported",
@@ -260,17 +259,6 @@ def taylor_coeffs(mu, phi: SymbolicHFunction, order: int, method: str = "auto") 
     )
 
 
-def hankel_delta(k, mu) -> SymbolicHFunction:
-    """Transform of the k-th delta derivative: c^mu_k t^(mu+2k+1/2)."""
-    mu = MuVector(mu)
-    k = MultiIndex(k)
-    if k.dim != mu.dim:
-        raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
-    return SymbolicHFunction(
-        mu, EvenPolynomial.monomial(k, c_k_mu(mu, k)), 0
-    )
-
-
 def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
     """Both sides of the delta/transform consistency identity.
 
@@ -428,17 +416,6 @@ class MultiplierForm:
     def dim(self) -> int:
         return self.rational.dim
 
-    def evaluate(self, coords):
-        cols = [np.asarray(c, dtype=float) for c in coords]
-        squares = [c * c for c in cols]
-        val = self.rational.evaluate(squares)
-        if self.window is not None:
-            v = squares[0]
-            for s in squares[1:]:
-                v = v + s
-            val = val * self.window.v_value(v)
-        return val
-
     def t_power_values(self, k: MultiIndex, squares, vsum):
         """T^k theta evaluated at squared coordinates."""
         if self.window is None:
@@ -514,8 +491,7 @@ def multiplier_check(form: MultiplierForm, max_order: int, points_per_axis: int 
     _denominator_gate(form)
     n = form.dim
     pts = points_per_axis if n == 1 else max(40, points_per_axis // (2 ** (n - 1)))
-    axis_full = geometric_grid(1e-3, 2.0 * _RADIUS, pts)
-    mesh = np.meshgrid(*([axis_full] * n), indexing="ij")
+    mesh = GridSpec.geometric(1e-3, 2.0 * _RADIUS, pts, dim=n).meshgrid()
     squares = [c * c for c in mesh]
     vsum = squares[0]
     for s in squares[1:]:

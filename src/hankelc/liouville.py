@@ -202,14 +202,7 @@ class KernelCertificate:
         return all(self.exact_zero)
 
     def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "max_degree": self.max_degree,
-            "exact_zero": list(self.exact_zero),
-            "weak_residuals": [float(r) for r in self.weak_residuals],
-            "family_size": self.family_size,
-            "hypothesis": self.hypothesis,
-        }
+        return dataclasses.asdict(self)
 
 
 def liouville_solve(P: OperatorPoly, mu, max_degree: int, skip_weak: bool = False):

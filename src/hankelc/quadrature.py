@@ -16,7 +16,6 @@ __all__ = [
     "GridFunction",
     "build_quadrature",
     "truncation_radius",
-    "geometric_grid",
     "DEFAULT_POINTS_PER_PANEL",
     "DEFAULT_PANELS",
 ]
@@ -104,7 +103,7 @@ def truncation_radius(decay: float) -> float:
     return math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL) / decay)
 
 
-def _check_axis(lo: float, hi: float, count: int, dim: int = 1):
+def _check_axis(lo: float, hi: float, count: int, dim: int):
     """Refuse an axis spec before anything is allocated: 0 < lo < hi,
     count >= 2, and count^dim points within MAX_GRID_POINTS."""
     if not 0.0 < lo < hi:
@@ -113,12 +112,6 @@ def _check_axis(lo: float, hi: float, count: int, dim: int = 1):
         raise DomainError(f"need at least 2 points, got {count}")
     if count ** dim > MAX_GRID_POINTS:
         raise LimitExceeded(f"grid would have {count ** dim} points")
-
-
-def geometric_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Geometrically spaced grid on [lo, hi]."""
-    _check_axis(lo, hi, count)
-    return np.geomspace(lo, hi, count)
 
 
 class GridSpec:

@@ -101,8 +101,8 @@ class EvenPolynomial:
     __slots__ = ("dim", "_coeffs")
 
     def __init__(self, dim: int, coeffs=None):
-        if dim < 1:
-            raise DomainError(f"dimension must be >= 1, got {dim}")
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DomainError(f"dimension must be an integer >= 1, got {dim!r}")
         self.dim = dim
         pairs = []
         for k, v in (coeffs or {}).items():
@@ -122,10 +122,6 @@ class EvenPolynomial:
         out.dim = dim
         out._coeffs = _sum_terms(pairs)
         return out
-
-    @classmethod
-    def zero(cls, dim: int) -> "EvenPolynomial":
-        return cls(dim)
 
     @classmethod
     def constant(cls, dim: int, value) -> "EvenPolynomial":
@@ -398,16 +394,20 @@ def apply_T(axis: int, u: GaussianPolynomial) -> GaussianPolynomial:
     return GaussianPolynomial(EvenPolynomial._of(n, terms()), u.decay)
 
 
+def _power(step, k: MultiIndex, x):
+    """Apply step(axis, x) k[axis] times on each axis in turn."""
+    for axis, power in enumerate(k):
+        for _ in range(power):
+            x = step(axis, x)
+    return x
+
+
 def apply_Tk(k, u: GaussianPolynomial) -> GaussianPolynomial:
     """Apply the mixed power T^k = T_n^{k_n} ... T_1^{k_1}."""
     k = _checked_power(k)
     if k.dim != u.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, u-part {u.dim}")
-    out = u
-    for axis, power in enumerate(k):
-        for _ in range(power):
-            out = apply_T(axis, out)
-    return out
+    return _power(apply_T, k, u)
 
 
 def leibniz_Tk(
@@ -447,11 +447,7 @@ def apply_Sk(k, f: SymbolicHFunction) -> SymbolicHFunction:
     k = _checked_power(k)
     if k.dim != f.dim:
         raise DimensionMismatch(f"index dimension {k.dim}, function {f.dim}")
-    out = f
-    for axis, power in enumerate(k):
-        for _ in range(power):
-            out = apply_S(axis, out)
-    return out
+    return _power(apply_S, k, f)
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +742,7 @@ class EvenRational:
         return EvenRational(new_numer, self.denom, self.power + 1)
 
     def t_power(self, k) -> "EvenRational":
-        k = _checked_power(k)
-        out = self
-        for axis, power in enumerate(k):
-            for _ in range(power):
-                out = out.t_derivative(axis)
-        return out
+        return _power(lambda axis, r: r.t_derivative(axis), _checked_power(k), self)
 
     def evaluate(self, squares):
         num = self.numer.evaluate(squares)

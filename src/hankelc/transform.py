@@ -12,8 +12,8 @@ the first transform on quadrature nodes and needs no interpolation.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -142,32 +142,20 @@ def _check_arguments(ys: np.ndarray, rule: QuadratureRule):
         )
 
 
-# repeated transforms (weak checks, pairings) reuse identical kernel
-# matrices, so keep a small LRU cache keyed by the exact inputs: a hit
-# moves its key to the back, and eviction drops the front.  The verify
-# thread pool shares it, and cached arrays are read-only
-_KERNEL_CACHE: dict = {}
-_KERNEL_CACHE_CAP = 32
-_KERNEL_LOCK = threading.Lock()
-
-
 def _kernel_matrix(alpha, ys, rule: QuadratureRule) -> np.ndarray:
-    """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i)."""
-    key = (float(alpha), ys.tobytes(), rule.nodes.tobytes(), rule.weights.tobytes())
-    with _KERNEL_LOCK:
-        hit = _KERNEL_CACHE.pop(key, None)
-        if hit is not None:
-            _KERNEL_CACHE[key] = hit
-            return hit
-    z = np.outer(ys, rule.nodes)
-    value = np.sqrt(z) * bessel_j(alpha, z) * rule.weights[None, :]
+    """Weighted kernel K[i, j] = w_j sqrt(x_j y_i) J_alpha(x_j y_i), read-only."""
+    return _kernel(float(alpha), ys.tobytes(), rule.nodes.tobytes(), rule.weights.tobytes())
+
+
+# repeated transforms (weak checks, pairings) reuse identical kernel
+# matrices, so keep the last ones keyed by the exact inputs; the verify
+# thread pool shares them, so they are read-only
+@functools.lru_cache(maxsize=32)
+def _kernel(alpha: float, ys: bytes, nodes: bytes, weights: bytes) -> np.ndarray:
+    z = np.outer(np.frombuffer(ys), np.frombuffer(nodes))
+    value = np.sqrt(z) * bessel_j(alpha, z) * np.frombuffer(weights)[None, :]
     value.setflags(write=False)
-    with _KERNEL_LOCK:
-        if key not in _KERNEL_CACHE:
-            if len(_KERNEL_CACHE) >= _KERNEL_CACHE_CAP:
-                _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-            _KERNEL_CACHE[key] = value
-        return _KERNEL_CACHE[key]
+    return value
 
 
 def hankel_1d(alpha, f, ys, rule: QuadratureRule) -> GridFunction:

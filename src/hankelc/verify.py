@@ -139,7 +139,7 @@ def _chk_koh_zemanian() -> list:
     for mu, k, poly in cases:
         f = SymbolicHFunction(mu, poly, Fraction(1, 2))
         lhs = apply_Sk(k, f).u.poly
-        rhs = EvenPolynomial.zero(mu.dim)
+        rhs = EvenPolynomial(mu.dim)
         for l, b in koh_zemanian_coeffs_nd(k, mu).items():
             rhs = rhs + apply_Tk(k + l, f.u).poly.shift(l).scale(b)
         diff = lhs - rhs

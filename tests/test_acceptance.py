@@ -134,7 +134,7 @@ def test_criterion_01_exact_operator_identities():
         # normal-ordered expansion of the operator powers
         f = SymbolicHFunction(mu, _random_poly(rng, n, 6), rng.choice(decays))
         lhs = apply_Sk(k, f).poly
-        rhs = EvenPolynomial.zero(n)
+        rhs = EvenPolynomial(n)
         for l, b in koh_zemanian_coeffs_nd(k, mu).items():
             rhs = rhs + apply_Tk(k + l, f.u).poly.shift(l).scale(b)
         assert lhs == rhs

@@ -1,4 +1,4 @@
-"""Inventory of the options of the public API.
+"""Inventory of the public API and of its options.
 
 The rule: a parameter with a default (an option) exists only when a
 caller outside tests/ sets it (the package itself, the CLI or the
@@ -9,6 +9,9 @@ OPTIONS pins every defaulted parameter of every public callable that
 hankelc exports: functions, classes (their constructors) and the public
 methods defined on those classes.  Adding or removing an option has to
 update this table on purpose, next to the caller that needs it.
+
+PUBLIC pins the names hankelc exports (its submodules aside), so a
+deleted name or alias comes back only on purpose.
 """
 
 import inspect
@@ -26,7 +29,6 @@ OPTIONS = {
     "MultiplierForm": {"window": None},
     "MultiplierReport": {"note": None},
     "SymbolicHFunction": {"decay": 0},
-    "WindowedHFunction": {"window": None},
     "build_quadrature": {"points_per_panel": 24, "panels": 16},
     "default_rule_for": {"points_per_panel": 24, "panels": 16},
     "default_weak_family": {"count": 10, "seed": 7},
@@ -42,6 +44,28 @@ OPTIONS = {
     "seminorm_lambda": {"grid": None},
     "taylor_coeffs": {"method": "auto"},
     "weak_spectral_check": {"mu": None, "family": None, "rule": None},
+}
+
+PUBLIC = {
+    "ComponentExceeds", "CutoffSpec", "DEFAULT_Z_MAX", "DecayRequired",
+    "DeltaCombination", "DimensionMismatch", "DomainError", "EvenPolynomial",
+    "EvenRational", "ExtrapolationDiverged", "GaussianPolynomial", "GridFunction",
+    "GridSpec", "HankelcError", "HypothesisFailed", "HypothesisReport",
+    "KernelCertificate", "LimitExceeded", "MuVector", "MultiIndex", "MultiplierForm",
+    "MultiplierReport", "NumericError", "OperatorPoly", "OuterWindow", "QuadratureRule",
+    "SUITES", "SpecError", "SupportViolation", "SymbolicHFunction", "TaylorReport",
+    "WindowedHFunction", "apply_L", "apply_S", "apply_Sk", "apply_T", "apply_Tk",
+    "bessel_j", "build_quadrature", "c_k_mu", "c_mu", "check_hypothesis",
+    "default_rule_for", "default_sup_grid", "default_weak_family", "gamma_fn",
+    "grid_supremum", "hankel_1d", "hankel_nd", "hankel_roundtrip_residual",
+    "kernel_basis", "koh_zemanian_coeffs", "koh_zemanian_coeffs_nd",
+    "lambda_gamma_bound_terms", "leibniz_Tk", "liouville_solve", "mi_below",
+    "mi_binomial", "mi_factorial", "mi_graded_enumerate", "multiplier_check",
+    "orthant_pair", "pair_delta", "pair_delta_transform", "pair_s_delta",
+    "reconstruct_point_supported", "reduced_bessel", "richardson_limit", "run_all",
+    "run_suite", "sample_on_nodes", "seminorm_gamma", "seminorm_lambda", "seminorm_rho",
+    "smooth_step", "taylor_coeffs", "truncation_radius", "unit_index",
+    "weak_spectral_check",
 }
 
 
@@ -72,6 +96,11 @@ def test_every_option_is_pinned():
         if opts:
             found[name] = opts
     assert found == OPTIONS
+
+
+def test_every_export_is_pinned():
+    found = {n for n, obj in vars(hankelc).items() if not n.startswith("_") and not inspect.ismodule(obj)}
+    assert found == PUBLIC
 
 
 def test_direct_is_keyword_only():

@@ -16,6 +16,7 @@ from hankelc import (
     DomainError,
     EvenPolynomial,
     MuVector,
+    SymbolicHFunction,
     bessel_j,
     c_k_mu,
     c_mu,
@@ -177,6 +178,25 @@ def test_mu_vector_validation():
     with pytest.raises(DomainError):
         MuVector(["-3/4"])
     assert not MuVector([0.25]).is_rational
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["12", {"1": 0}, None, np.array([["1/2"]])],
+    ids=["str", "dict", "none", "2d-array"],
+)
+def test_mu_vector_refuses_what_is_not_a_list(entries):
+    # a string or a mapping iterates as its characters or keys
+    with pytest.raises(DomainError):
+        MuVector(entries)
+    with pytest.raises(DomainError):
+        SymbolicHFunction.from_json({"mu": entries, "terms": [{"k": [0], "q": 1}]})
+
+
+def test_mu_vector_reads_a_list_a_tuple_or_a_1d_array():
+    want = (Fraction(1, 2), Fraction(3, 4))
+    for entries in (["1/2", "3/4"], ("1/2", "3/4"), np.array(["1/2", "3/4"])):
+        assert tuple(MuVector(entries)) == want
 
 
 def test_mu_shifted():

@@ -222,18 +222,16 @@ def test_parser_is_built_once_and_reads_threads_at_parse_time(monkeypatch):
         return []
 
     monkeypatch.setattr(cli_mod, "run_all", fake_run_all)
-    monkeypatch.delenv("HANKELC_THREADS", raising=False)
     assert main(["verify", "taylor"]) == 0
-    for value in ("3", "2"):
-        monkeypatch.setenv("HANKELC_THREADS", value)
-        assert main(["verify", "taylor"]) == 0
+    # --threads is the one setting: the environment is not read
+    monkeypatch.setenv("HANKELC_THREADS", "3")
+    assert main(["verify", "taylor"]) == 0
     assert main(["--threads", "4", "verify", "taylor"]) == 0
-    assert seen == [1, 3, 2, 4]
+    assert main(["verify", "taylor"]) == 0
+    assert seen == [1, 1, 4, 1]
     assert build_parser() is build_parser()
-    # a malformed value is an input error, like a malformed --threads
-    monkeypatch.setenv("HANKELC_THREADS", "abc")
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "taylor"])
+        main(["--threads", "abc", "verify", "taylor"])
     assert exc.value.code == 2
 
 

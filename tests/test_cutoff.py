@@ -94,7 +94,6 @@ def test_window_json_roundtrip():
 def test_windowed_function_properties():
     mu = MuVector(["1/2"])
     base = SymbolicHFunction(mu, EvenPolynomial.constant(1, 1), Fraction(1, 2))
-    plain = WindowedHFunction(base)
     cut = WindowedHFunction(base, CutoffSpec(1.0, 2.0))
     far = WindowedHFunction(base, OuterWindow(1.0, 2.0))
 
@@ -108,5 +107,6 @@ def test_windowed_function_properties():
     assert cut.evaluate([x]) == 0.0
     assert far.evaluate([x]) == pytest.approx(base.evaluate([x]))
 
-    with pytest.raises(DomainError):
-        WindowedHFunction(base, window="not a window")
+    for window in ("not a window", None):
+        with pytest.raises(DomainError):
+            WindowedHFunction(base, window)

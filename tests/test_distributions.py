@@ -26,7 +26,6 @@ from hankelc import (
     c_k_mu,
     c_mu,
     default_rule_for,
-    hankel_delta,
     multiplier_check,
     orthant_pair,
     pair_delta,
@@ -208,7 +207,7 @@ def test_taylor_validation():
 
 def test_hankel_delta_structure():
     mu = MuVector(["1/2"])
-    g = hankel_delta((1,), mu)
+    g = DeltaCombination(mu, {(1,): 1}).transform()
     assert g.decay == 0
     assert g.poly.coefficient((1,)) == c_k_mu(mu, (1,))
     assert g.poly.coefficient((1,)) == Fraction(-1, 3)
@@ -222,8 +221,6 @@ def test_delta_transform_refuses_an_index_above_the_power_cap():
     for k in [(101,), (10**11,)]:
         with pytest.raises(LimitExceeded):
             c_k_mu(mu, k)
-        with pytest.raises(LimitExceeded):
-            hankel_delta(k, mu)
         with pytest.raises(LimitExceeded):
             DeltaCombination(mu, {k: 1}).transform()
 
@@ -270,12 +267,12 @@ def test_pair_delta_transform_zero_identity(k, mu, decay, terms):
 
 def _reference_pair_delta_transform(k, mu, phi):
     """The node-grid route: phi sampled on the full N^n node grid, the
-    ladder summed over the grid, rhs paired through hankel_delta."""
+    ladder summed over the grid, rhs paired with the delta's transform."""
     mu = MuVector(mu)
     k = MultiIndex(k)
     rule = default_rule_for(float(phi.decay))
     n = mu.dim
-    rhs = orthant_pair(hankel_delta(k, mu), phi, rule)
+    rhs = orthant_pair(DeltaCombination(mu, {k: 1}).transform(), phi, rule)
     vals = sample_on_nodes(phi, [rule.nodes] * n)
     for a in range(n):
         power = float(mu[a]) + 2 * k[a] + 0.5
@@ -549,13 +546,3 @@ def test_multiplier_order_cap_for_windows():
     form = MultiplierForm(EvenRational(EvenPolynomial.constant(1, 1)), CutoffSpec(1.0, 3.0))
     with pytest.raises(DomainError):
         multiplier_check(form, 5)
-
-
-def test_multiplier_evaluate():
-    one = EvenPolynomial.constant(1, 1)
-    denom = EvenPolynomial(1, {(0,): 1, (1,): 1})
-    form = MultiplierForm.quotient(one, denom)
-    x = np.array([2.0])
-    assert form.evaluate([x])[0] == pytest.approx(1 / 5)
-    wform = MultiplierForm(EvenRational(one, denom), OuterWindow(3.0, 4.0))
-    assert wform.evaluate([x])[0] == 0.0

@@ -8,12 +8,14 @@ import pytest
 from hankelc import (
     DimensionMismatch,
     DomainError,
+    EvenPolynomial,
     GridFunction,
     GridSpec,
     LimitExceeded,
+    MultiplierForm,
     QuadratureRule,
     build_quadrature,
-    geometric_grid,
+    multiplier_check,
     truncation_radius,
 )
 from hankelc import quadrature as quadrature_module
@@ -85,13 +87,13 @@ def test_points_per_panel_are_capped_before_the_legendre_matrix(monkeypatch):
 
 
 def test_geometric_grid():
-    g = geometric_grid(1e-3, 10.0, 9)
+    g = GridSpec.geometric(1e-3, 10.0, 9).axes[0]
     assert g[0] == pytest.approx(1e-3)
     assert g[-1] == pytest.approx(10.0)
     ratios = g[1:] / g[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
     with pytest.raises(DomainError):
-        geometric_grid(0.0, 1.0, 5)
+        GridSpec.geometric(0.0, 1.0, 5)
 
 
 def test_grid_spec_properties():
@@ -127,11 +129,16 @@ def _no_allocation(*args, **kwargs):
     [
         lambda: GridSpec.linear(0.1, 4.0, 10**12),
         lambda: GridSpec.geometric(0.1, 4.0, 10**12),
-        lambda: geometric_grid(0.1, 4.0, 10**12),
         lambda: GridSpec.linear(0.1, 4.0, 200, dim=3),  # 8e6 points
         lambda: GridSpec.geometric(0.1, 4.0, 2001, dim=2),
+        # a 10^4-point axis per dimension, so a 10^8-point mesh
+        lambda: multiplier_check(
+            MultiplierForm.polynomial(EvenPolynomial(2, {(1, 0): 1, (0, 1): 1})),
+            0,
+            points_per_axis=20000,
+        ),
     ],
-    ids=["linear", "geometric", "geometric_grid", "linear-3d", "geometric-2d"],
+    ids=["linear", "geometric", "linear-3d", "geometric-2d", "multiplier"],
 )
 def test_grid_count_is_capped_before_allocation(make, monkeypatch):
     monkeypatch.setattr(np, "linspace", _no_allocation)

@@ -83,7 +83,7 @@ def test_symbolic_function_json_roundtrip():
 
 
 def test_zero_members_hash_alike_whatever_the_decay():
-    zero = EvenPolynomial.zero(1)
+    zero = EvenPolynomial(1)
     a = GaussianPolynomial(zero, Fraction(1, 2))
     b = GaussianPolynomial(zero, Fraction(1, 3))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
@@ -321,7 +321,7 @@ def test_kz_expansion_matches_s_power():
         f = SymbolicHFunction(mu, _random_poly(rng, dim, 3), Fraction(1, 2))
         k = MultiIndex(rng.randint(0, 2) for _ in range(dim))
         lhs = apply_Sk(k, f).poly
-        rhs = EvenPolynomial.zero(dim)
+        rhs = EvenPolynomial(dim)
         for l, b in koh_zemanian_coeffs_nd(k, mu).items():
             rhs = rhs + apply_Tk(k + l, f.u).poly.shift(l).scale(b)
         assert lhs == rhs
@@ -343,6 +343,15 @@ def test_apply_l_signs():
 def test_operator_json_roundtrip():
     P = OperatorPoly(2, {(1, 0): 1, (0, 2): Fraction(2, 3)})
     assert OperatorPoly.from_json(P.to_json()) == P
+
+
+@pytest.mark.parametrize("dim, k", [(2.0, [1, 0]), (True, [1])], ids=["float", "bool"])
+def test_dimension_must_be_an_int(dim, k):
+    # each matches its terms' length, so only its type is wrong
+    with pytest.raises(DomainError):
+        OperatorPoly.from_json({"dim": dim, "terms": [{"k": k, "a": 1}]})
+    with pytest.raises(DomainError):
+        EvenPolynomial(dim)
 
 
 def test_kernel_basis_1d():

@@ -258,7 +258,7 @@ def test_kernel_cache_keeps_a_key_that_is_hit_after_every_insertion():
     rule = build_quadrature(8.0, points_per_panel=8, panels=4)
     ys = np.linspace(0.1, 2.0, 5) + 2e-3  # grids no other test uses
     kept = transform_module._kernel_matrix(0.5, ys, rule)
-    for i in range(transform_module._KERNEL_CACHE_CAP):
+    for i in range(transform_module._kernel.cache_parameters()["maxsize"]):
         transform_module._kernel_matrix(0.5, np.linspace(0.1, 3.0 + 0.01 * i, 5) + 2e-3, rule)
         assert transform_module._kernel_matrix(0.5, ys, rule) is kept
 
@@ -290,7 +290,8 @@ def test_kernel_cache_shared_by_two_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(transform_module._KERNEL_CACHE) <= transform_module._KERNEL_CACHE_CAP
+    cache = transform_module._kernel
+    assert cache.cache_info().currsize <= cache.cache_parameters()["maxsize"]
     for i, values in enumerate(want):
         np.testing.assert_array_equal(results[i], values)
 
