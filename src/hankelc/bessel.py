@@ -83,6 +83,11 @@ def _coeff(v):
     raise DomainError(f"unsupported coefficient type {type(v)!r}")
 
 
+def _coeff_to_json(v):
+    """JSON form of a coefficient: a Fraction as a "num/den" string, else a float."""
+    return str(v) if isinstance(v, Fraction) else float(v)
+
+
 class MuVector(tuple):
     """Vector of Bessel orders, one per axis, each >= -1/2.
 
@@ -126,7 +131,7 @@ class MuVector(tuple):
         return MuVector(tuple(m + int(v) for m, v in zip(self, k)))
 
     def to_json(self):
-        return [str(v) if isinstance(v, Fraction) else v for v in self]
+        return [_coeff_to_json(v) for v in self]
 
 
 # Lanczos approximation, g = 7 with 9 coefficients.  Good to ~1e-13

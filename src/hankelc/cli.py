@@ -23,7 +23,7 @@ import json
 import sys
 
 from .bessel import MuVector
-from .cutoff import WindowedHFunction, _RadialWindow
+from .cutoff import CutoffSpec, OuterWindow, WindowedHFunction
 from .distributions import (
     MultiplierForm,
     multiplier_check,
@@ -42,17 +42,12 @@ from .liouville import liouville_solve
 from .multiindex import MultiIndex
 from .quadrature import GridSpec, build_quadrature
 from .seminorms import seminorm_gamma, seminorm_lambda, seminorm_rho
-from .symbolic import (
-    EvenPolynomial,
-    EvenRational,
-    OperatorPoly,
-    SymbolicHFunction,
-    _terms_from_json,
-)
+from .symbolic import EvenPolynomial, EvenRational, OperatorPoly, SymbolicHFunction
 from .transform import default_rule_for, hankel_nd
 from .verify import SUITES, run_all
 
 _TOP_KEYS = {"mu", "function", "operator", "window", "multiplier"}
+_WINDOWS = {"cutoff": CutoffSpec, "outer": OuterWindow}
 
 
 def _load_spec(path: str) -> dict:
@@ -83,10 +78,25 @@ def _require_object(value, what: str, allowed: set) -> dict:
 
 
 def _require_terms(value, what: str, key: str) -> dict:
-    """Coefficient map of a nonempty JSON term list."""
+    """Coefficient map of a nonempty JSON term list [{"k": [...], key: value}, ...];
+    a term that is not such an object, any other term key and any repeated
+    index raise DomainError."""
     if not value:
         raise SpecError(f"'{what}' must be a nonempty list of terms")
-    return _terms_from_json(value, key)
+    if not isinstance(value, list):
+        raise DomainError("terms must be a list of objects")
+    coeffs = {}
+    for t in value:
+        if not isinstance(t, dict) or not isinstance(t.get("k"), list) or key not in t:
+            raise DomainError(f"each term needs a 'k' list and a '{key}' coefficient")
+        extra = sorted(set(t) - {"k", key})
+        if extra:
+            raise DomainError(f"unknown term keys: {extra}")
+        k = MultiIndex(t["k"])
+        if k in coeffs:
+            raise DomainError(f"duplicate term {list(k)}")
+        coeffs[k] = t[key]
+    return coeffs
 
 
 def _spec_mu(data: dict) -> MuVector:
@@ -121,7 +131,13 @@ def _spec_window(data: dict):
     if wdata is None:
         return None
     _require_object(wdata, "window", {"kind", "inner", "outer"})
-    return _RadialWindow.from_json(wdata)
+    kind = wdata.get("kind")
+    cls = _WINDOWS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"unknown window kind {kind!r}")
+    if "inner" not in wdata or "outer" not in wdata:
+        raise DomainError("a window needs both 'inner' and 'outer'")
+    return cls(wdata["inner"], wdata["outer"])
 
 
 def _spec_multiplier(data: dict) -> MultiplierForm:

@@ -74,23 +74,6 @@ class _RadialWindow:
         scale = self.outer**2 - self.inner**2
         return _fd(self.v_value, v, order, scale)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "cutoff" if isinstance(self, CutoffSpec) else "outer",
-            "inner": self.inner,
-            "outer": self.outer,
-        }
-
-    @staticmethod
-    def from_json(data) -> "_RadialWindow":
-        kind = data.get("kind")
-        cls = {"cutoff": CutoffSpec, "outer": OuterWindow}.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise DomainError(f"unknown window kind {kind!r}")
-        if "inner" not in data or "outer" not in data:
-            raise DomainError("a window needs both 'inner' and 'outer'")
-        return cls(data["inner"], data["outer"])
-
 
 class CutoffSpec(_RadialWindow):
     """Radial plateau: 1 for |x| <= inner, 0 for |x| >= outer."""

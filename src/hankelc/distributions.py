@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .bessel import MuVector, c_k_mu, c_mu, reduced_bessel
+from .bessel import MuVector, _coeff_to_json, c_k_mu, c_mu, reduced_bessel
 from .cutoff import CutoffSpec, OuterWindow, WindowedHFunction, _RadialWindow
 from .errors import (
     DimensionMismatch,
@@ -39,8 +38,6 @@ from .symbolic import (
     EvenRational,
     GaussianPolynomial,
     SymbolicHFunction,
-    _coeff_to_json,
-    _terms_from_json,
     apply_Sk,
     apply_Tk,
     check_hypothesis,
@@ -222,7 +219,7 @@ class TaylorReport:
             "order": self.order,
             "method": self.method,
             "coefficients": [
-                {"k": list(k), "a": str(v) if isinstance(v, Fraction) else float(v)}
+                {"k": list(k), "a": _coeff_to_json(v)}
                 for k, v in sorted(self.coefficients.items())
             ],
             "remainder_samples": [[j, float(v)] for j, v in self.remainder_samples],
@@ -326,19 +323,6 @@ class DeltaCombination:
             self.dim, ((k, c * c_k_mu(self.mu, k)) for k, c in self.terms.items())
         )
         return SymbolicHFunction(self.mu, poly, 0)
-
-    def to_json(self) -> dict:
-        return {
-            "mu": self.mu.to_json(),
-            "terms": [
-                {"k": list(k), "c": _coeff_to_json(c)}
-                for k, c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "DeltaCombination":
-        return cls(data["mu"], _terms_from_json(data["terms"], "c"))
 
     def __eq__(self, other):
         if not isinstance(other, DeltaCombination):
@@ -461,14 +445,18 @@ class MultiplierReport:
 
 def _denominator_gate(form: MultiplierForm):
     """Sign/nonvanishing requirements before bounding a quotient: the
-    denominator passes check_hypothesis, and its constant term is nonzero
-    unless an OuterWindow kills a neighbourhood of the origin."""
+    denominator passes check_hypothesis, a negative one is raised only to
+    an integer power (any other power of it is undefined, DomainError),
+    and its constant term is nonzero unless an OuterWindow kills a
+    neighbourhood of the origin."""
     rat = form.rational
     if rat.power == 0:
         return
     report = check_hypothesis(rat.denom)
     if not report.passed:
         raise HypothesisFailed(f"denominator fails the hypothesis: {report.reason}")
+    if report.sign < 0 and not float(rat.power).is_integer():
+        raise DomainError(f"a negative denominator has no real power {rat.power}")
     if not isinstance(form.window, OuterWindow) and rat.denom.constant_term() == 0:
         raise HypothesisFailed(
             "denominator vanishes at the origin (zero constant term)"

@@ -165,10 +165,6 @@ class GridSpec:
     def to_json(self) -> dict:
         return {"axes": [a.tolist() for a in self.axes]}
 
-    @classmethod
-    def from_json(cls, data) -> "GridSpec":
-        return cls(data["axes"])
-
 
 class GridFunction:
     """Function values sampled on a GridSpec, tagged with the order vector."""
@@ -194,12 +190,6 @@ class GridFunction:
             "mu": self.mu.to_json(),
             "values": self.values.ravel(order="C").tolist(),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "GridFunction":
-        spec = GridSpec.from_json(data["spec"])
-        values = np.asarray(data["values"], dtype=float).reshape(spec.shape)
-        return cls(spec, values, data["mu"])
 
     def to_csv(self) -> str:
         """Row-major CSV with columns x1..xn,value."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import MuVector, _coeff
+from .bessel import MuVector, _coeff, _coeff_to_json
 from .errors import DimensionMismatch, DomainError, NumericError
 from .multiindex import (
     MultiIndex,
@@ -53,26 +53,6 @@ __all__ = [
 ]
 
 
-def _terms_from_json(terms, key) -> dict:
-    """Coefficient map of JSON terms [{"k": [...], key: value}, ...]; a term
-    that is not such an object, any other term key and any repeated index
-    raise DomainError."""
-    if not isinstance(terms, list):
-        raise DomainError("terms must be a list of objects")
-    coeffs = {}
-    for t in terms:
-        if not isinstance(t, dict) or not isinstance(t.get("k"), list) or key not in t:
-            raise DomainError(f"each term needs a 'k' list and a '{key}' coefficient")
-        extra = sorted(set(t) - {"k", key})
-        if extra:
-            raise DomainError(f"unknown term keys: {extra}")
-        k = MultiIndex(t["k"])
-        if k in coeffs:
-            raise DomainError(f"duplicate term {list(k)}")
-        coeffs[k] = t[key]
-    return coeffs
-
-
 def _sum_terms(pairs) -> dict:
     """Sum (index, coefficient) pairs per index, in first-seen order, and
     drop the zero sums.  A float sum that is not finite (an overflow in the
@@ -86,10 +66,6 @@ def _sum_terms(pairs) -> dict:
         elif isinstance(v, float) and not math.isfinite(v):
             raise NumericError(f"coefficient of s^{tuple(k)} overflowed to {v}")
     return out
-
-
-def _coeff_to_json(v):
-    return str(v) if isinstance(v, Fraction) else float(v)
 
 
 class EvenPolynomial:
@@ -221,11 +197,6 @@ class EvenPolynomial:
             total = total + term
         return total
 
-    def json_terms(self, key="q"):
-        return [
-            {"k": list(k), key: _coeff_to_json(v)} for k, v in self.items()
-        ]
-
     def __repr__(self):
         body = " + ".join(f"{v}*s^{tuple(k)}" for k, v in self.items()) or "0"
         return f"EvenPolynomial({self.dim}, {body})"
@@ -352,14 +323,8 @@ class SymbolicHFunction:
         return {
             "mu": self.mu.to_json(),
             "decay": _coeff_to_json(self.decay),
-            "terms": self.poly.json_terms(key="q"),
+            "terms": [{"k": list(k), "q": _coeff_to_json(v)} for k, v in self.poly.items()],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SymbolicHFunction":
-        mu = MuVector(data["mu"])
-        poly = EvenPolynomial(mu.dim, _terms_from_json(data["terms"], "q"))
-        return cls(mu, poly, data.get("decay", 0))
 
     def __repr__(self):
         return (
@@ -469,19 +434,6 @@ class OperatorPoly(EvenPolynomial):
         super().__init__(dim, coeffs)
         if self.is_zero:
             raise DomainError("operator polynomial has no nonzero terms")
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "terms": self.json_terms(key="a")}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OperatorPoly":
-        coeffs = _terms_from_json(data["terms"], "a")
-        dim = data.get("dim")
-        if dim is None:
-            if not coeffs:
-                raise DomainError("cannot infer dimension from empty terms")
-            dim = len(next(iter(coeffs)))
-        return cls(dim, coeffs)
 
     def __repr__(self):
         body = " + ".join(f"{v}*x^{tuple(k)}" for k, v in self.items())

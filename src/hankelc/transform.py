@@ -171,11 +171,18 @@ def hankel_nd(mu, f, grid: GridSpec, rule: QuadratureRule, *, direct: bool = Fal
     and the coefficient tensor combines the results.  direct=True
     samples f and sums the assembled product kernel instead; it is
     quadratic in memory and intended only for small cross-check problems.
+    A family member with decay 0 raises DecayRequired on either path: its
+    transform is a distribution supported at the origin, not a function.
     """
     mu = MuVector(mu)
     n = mu.dim
     if grid.dim != n:
         raise DimensionMismatch(f"order vector dimension {n}, grid {grid.dim}")
+    if isinstance(f, SymbolicHFunction) and f.decay == 0:
+        raise DecayRequired(
+            "a member with decay 0 transforms to a distribution supported at "
+            "the origin (see DeltaCombination), not to values on a grid"
+        )
     for axis in grid.axes:
         _check_arguments(axis, rule)
     nodes = [rule.nodes] * n

@@ -21,7 +21,6 @@ import hankelc
 OPTIONS = {
     "EvenPolynomial": {"coeffs": None},
     "EvenPolynomial.monomial": {"value": 1},
-    "EvenPolynomial.json_terms": {"key": "q"},
     "EvenRational": {"denom": None, "power": 1},
     "GaussianPolynomial": {"decay": 0},
     "GridSpec.geometric": {"dim": 1},

@@ -16,7 +16,6 @@ from hankelc import (
     DomainError,
     EvenPolynomial,
     MuVector,
-    SymbolicHFunction,
     bessel_j,
     c_k_mu,
     c_mu,
@@ -189,8 +188,6 @@ def test_mu_vector_refuses_what_is_not_a_list(entries):
     # a string or a mapping iterates as its characters or keys
     with pytest.raises(DomainError):
         MuVector(entries)
-    with pytest.raises(DomainError):
-        SymbolicHFunction.from_json({"mu": entries, "terms": [{"k": [0], "q": 1}]})
 
 
 def test_mu_vector_reads_a_list_a_tuple_or_a_1d_array():

@@ -356,6 +356,11 @@ def test_unreadable_spec_text_exit_2(tmp_path, raw, capsys):
         {"mu": ["1/2"], "function": [{"k": [0], "q": 1}]},
         {"mu": ["1/2"], "function": {"terms": [{"k": 0, "q": 1}]}},
         {"mu": ["1/2"], "function": {"terms": [{"k": [0]}]}},
+        {"mu": ["1/2"], "function": {"terms": [5]}},
+        {"mu": ["1/2"], "function": {"terms": 7}},
+        {"mu": ["1/2"], "function": {"terms": [{"q": 1}]}},
+        {"mu": {"1": 0}, "function": GAUSS_1D["function"]},
+        {"mu": None, "function": GAUSS_1D["function"]},
         {
             "mu": ["1/2", "1/2"],
             "operator": {"terms": [{"k": [1, 0]}]},
@@ -374,6 +379,11 @@ def test_unreadable_spec_text_exit_2(tmp_path, raw, capsys):
         "function-not-an-object",
         "term-k-not-a-list",
         "term-missing-q",
+        "int-term",
+        "terms-not-a-list",
+        "k-missing",
+        "mu-dict",
+        "mu-null",
         "operator-term-missing-a",
         "multiplier-numer-not-a-list",
         "multiplier-denom-not-a-list",
@@ -427,6 +437,10 @@ def test_malformed_order_or_index_exit_2(tmp_path, spec, capsys):
 
 _FN = '"function": {"decay": "1/2", "terms": [{"k": [0], "q": 1}]}'
 _MULT = '"multiplier": {"numer": [{"k": [0], "q": 1}], "denom": [{"k": [0], "q": 1}, {"k": [1], "q": 1}]'
+_NEG_MULT = '"multiplier": {"numer": [{"k": [0], "q": 1}], "denom": [{"k": [0], "q": -1}, {"k": [1], "q": -1}]'
+# decay 0: an explicit rule gets past the default rule's decay check
+_DECAY_0 = '{"mu": ["1/2"], "function": {"terms": [{"k": [0], "q": 1}]}}'
+_QUAD = ["transform", "--grid", "0.1:2:4", "--quad", "24:16:10"]
 
 
 @pytest.mark.parametrize(
@@ -438,7 +452,11 @@ _MULT = '"multiplier": {"numer": [{"k": [0], "q": 1}], "denom": [{"k": [0], "q":
         ('{"mu": ["1/2"], %s, "window": {"kind": "cutoff", "outer": 2}}' % _FN, ["transform"]),
         ('{"mu": ["1/2"], %s, "window": {"kind": "outer", "inner": 1}}' % _FN, ["transform"]),
         ('{"mu": ["1/2"], %s, "window": {"kind": "outer", "inner": 1, "outer": 1e400}}' % _FN, ["transform"]),
+        ('{"mu": ["1/2"], %s, "window": {"kind": "mystery", "inner": 1, "outer": 2}}' % _FN, ["transform"]),
         ('{%s, "power": "x"}}' % _MULT, ["multiplier", "--max-order", "0"]),
+        ('{%s, "power": 1.5}}' % _NEG_MULT, ["multiplier", "--max-order", "1"]),
+        (_DECAY_0, _QUAD),
+        (_DECAY_0, _QUAD + ["--direct"]),
         ('{"mu": ["1/2"], %s}' % _FN, ["transform", "--grid", "0.1:inf:4"]),
     ],
     ids=[
@@ -448,10 +466,15 @@ _MULT = '"multiplier": {"numer": [{"k": [0], "q": 1}], "denom": [{"k": [0], "q":
         "window-inner-missing",
         "window-outer-missing",
         "window-outer-overflow",
+        "window-kind-unknown",
         "power-string",
+        "power-of-a-negative-denominator",
+        "decay-0-with-a-rule",
+        "decay-0-with-a-rule-direct",
         "grid-infinite",
     ],
 )
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_malformed_value_exit_2(tmp_path, spec, argv, capsys):
     path = tmp_path / "spec.json"
     path.write_text(spec)
@@ -486,6 +509,7 @@ _HUGE = '{"mu": ["1/2"], "function": {"decay": "1/2", "terms": [%s]}}' % ", ".jo
     ],
     ids=["transform-json", "transform-csv", "seminorm-nan", "taylor-exact-overflow", "seminorm-lambda-overflow"],
 )
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exit_3(tmp_path, spec, argv, capsys):
     path = tmp_path / "spec.json"
     path.write_text(spec)

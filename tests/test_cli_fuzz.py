@@ -111,6 +111,7 @@ def spec_path(tmp_path_factory):
 
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(spec=mutated_specs())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mutated_spec_exits_with_a_documented_code(spec_path, spec):
     spec_path.write_text(json.dumps(spec))
     dim = len(spec["mu"]) if isinstance(spec.get("mu"), list) and spec["mu"] else 1

@@ -82,15 +82,6 @@ def test_v_derivative_matches_fd():
         w.v_derivative(v, 5)
 
 
-def test_window_json_roundtrip():
-    for w in (CutoffSpec(1.0, 2.5), OuterWindow(0.5, 4.0)):
-        back = type(w).from_json(w.to_json())
-        assert type(back) is type(w)
-        assert back.inner == w.inner and back.outer == w.outer
-    with pytest.raises(DomainError):
-        CutoffSpec.from_json({"kind": "mystery", "inner": 1, "outer": 2})
-
-
 def test_windowed_function_properties():
     mu = MuVector(["1/2"])
     base = SymbolicHFunction(mu, EvenPolynomial.constant(1, 1), Fraction(1, 2))

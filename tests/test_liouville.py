@@ -212,6 +212,7 @@ def test_weak_check_matches_brute_force_pairing(mu, op, poly):
     )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_weak_check_refuses_non_finite_pairing():
     # the pairings overflow to inf and their ratio is NaN, which max() drops
     f = SymbolicHFunction(["1/2"], EvenPolynomial(1, {(1,): 1, (6,): 1e300}), 0)

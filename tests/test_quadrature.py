@@ -107,14 +107,6 @@ def test_grid_spec_properties():
     assert m[1][0, -1] == pytest.approx(4.0)
 
 
-def test_grid_spec_json_roundtrip():
-    spec = GridSpec.geometric(0.01, 8.0, 7, dim=2)
-    back = GridSpec.from_json(spec.to_json())
-    assert back.dim == 2
-    for a, b in zip(spec.axes, back.axes):
-        np.testing.assert_allclose(a, b, rtol=0, atol=0)
-
-
 def test_grid_spec_cap():
     with pytest.raises(LimitExceeded):
         GridSpec.linear(0.1, 1.0, 3000, dim=2)
@@ -151,9 +143,11 @@ def test_grid_function_roundtrip_and_csv():
     spec = GridSpec.linear(0.5, 2.0, 3, dim=2)
     xs, ys = spec.meshgrid()
     f = GridFunction(spec, xs + 2 * ys, ["1/2", "1/2"])
-    back = GridFunction.from_json(f.to_json())
-    np.testing.assert_allclose(back.values, f.values, rtol=0, atol=0)
-    assert back.mu == f.mu
+    assert f.to_json() == {
+        "spec": {"axes": [[0.5, 1.25, 2.0], [0.5, 1.25, 2.0]]},
+        "mu": ["1/2", "1/2"],
+        "values": [1.5, 3.0, 4.5, 2.25, 3.75, 5.25, 3.0, 4.5, 6.0],
+    }
 
     csv = f.to_csv()
     lines = csv.strip().split("\n")

@@ -79,7 +79,11 @@ def test_symbolic_function_json_roundtrip():
     f = SymbolicHFunction(
         mu, EvenPolynomial(2, {(0, 0): 1, (2, 1): Fraction(-3, 7)}), Fraction(1, 2)
     )
-    assert SymbolicHFunction.from_json(f.to_json()) == f
+    assert f.to_json() == {
+        "mu": ["1/2", "3/4"],
+        "decay": "1/2",
+        "terms": [{"k": [0, 0], "q": "1"}, {"k": [2, 1], "q": "-3/7"}],
+    }
 
 
 def test_zero_members_hash_alike_whatever_the_decay():
@@ -125,18 +129,6 @@ def test_float_overflow_is_a_numeric_error(op):
 def test_non_finite_input_is_a_domain_error(value):
     with pytest.raises(DomainError):
         EvenPolynomial(1, {(0,): value})
-
-
-@pytest.mark.parametrize(
-    "terms",
-    [[5], 7, [{"k": 5, "q": 1}], [{"q": 1}], [{"k": [1]}], [{"k": [0], "q": 1, "a": 2}]],
-    ids=["int-term", "not-a-list", "k-not-a-list", "k-missing", "q-missing", "extra-key"],
-)
-def test_json_terms_schema_is_a_domain_error(terms):
-    with pytest.raises(DomainError):
-        SymbolicHFunction.from_json({"mu": ["1/2"], "terms": terms})
-    with pytest.raises(DomainError):
-        OperatorPoly.from_json({"terms": terms})
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +332,11 @@ def test_apply_l_signs():
     assert apply_L(P, f).poly == -direct.poly
 
 
-def test_operator_json_roundtrip():
-    P = OperatorPoly(2, {(1, 0): 1, (0, 2): Fraction(2, 3)})
-    assert OperatorPoly.from_json(P.to_json()) == P
-
-
 @pytest.mark.parametrize("dim, k", [(2.0, [1, 0]), (True, [1])], ids=["float", "bool"])
 def test_dimension_must_be_an_int(dim, k):
     # each matches its terms' length, so only its type is wrong
     with pytest.raises(DomainError):
-        OperatorPoly.from_json({"dim": dim, "terms": [{"k": k, "a": 1}]})
+        OperatorPoly(dim, {tuple(k): 1})
     with pytest.raises(DomainError):
         EvenPolynomial(dim)
 

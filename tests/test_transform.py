@@ -182,6 +182,21 @@ def test_default_rule_requires_decay():
         default_rule_for(0)
 
 
+@pytest.mark.parametrize("direct", [False, True], ids=["factorized", "direct"])
+def test_decay_zero_member_is_refused_with_an_explicit_rule(direct):
+    # the transform of x^(1/2) is a distribution supported at the origin,
+    # so no rule gives its values on a grid
+    f = SymbolicHFunction(["1/2"], EvenPolynomial.constant(1, 1), 0)
+    rule = build_quadrature(10.0, 24, 16)
+    grid = GridSpec.linear(0.1, 2.0, 4)
+    with pytest.raises(DecayRequired, match="DeltaCombination"):
+        hankel_nd(["1/2"], f, grid, rule, direct=direct)
+    # the same values as a callable or an array are transformed as given
+    g = hankel_nd(["1/2"], np.sqrt, grid, rule, direct=direct)
+    h = hankel_nd(["1/2"], np.sqrt(rule.nodes), grid, rule, direct=direct)
+    assert np.all(np.isfinite(g.values)) and np.array_equal(g.values, h.values)
+
+
 def test_sample_on_nodes_inputs():
     axes = [np.array([0.5, 1.0, 2.0])]
     f = _gaussian(["1/2"])
