@@ -36,6 +36,7 @@ from hankelc import (
     sample_on_nodes,
     taylor_coeffs,
 )
+from hankelc import cli
 from hankelc import distributions as distributions_module
 from hankelc.bessel import reduced_bessel
 from hankelc.multiindex import mi_below, mi_graded_enumerate
@@ -386,6 +387,16 @@ def test_delta_combination_reads_rational_strings():
     comb = DeltaCombination(["1/2"], {(0,): "1/2"})
     assert comb.terms == {MultiIndex((0,)): Fraction(1, 2)}
     assert type(comb.terms) is dict
+
+
+@pytest.mark.parametrize(
+    "terms", [[{"k": [0]}], [{"c": 1}], [3], {"k": [0], "c": 1}],
+    ids=["c-missing", "k-missing", "int-term", "not-a-list"],
+)
+def test_delta_combination_json_schema_is_a_domain_error(terms):
+    # a JSON term list with coefficient key "c" is read by the spec term reader
+    with pytest.raises(DomainError):
+        DeltaCombination(["1/2"], cli._require_terms(terms, "terms", "c"))
 
 
 def test_delta_combination_pair_linear():

@@ -31,6 +31,7 @@ from hankelc import (
     liouville_solve,
     symbolic,
 )
+from hankelc import cli
 from hankelc.multiindex import mi_graded_enumerate
 from hankelc.symbolic import _lowering_rows
 
@@ -129,6 +130,19 @@ def test_float_overflow_is_a_numeric_error(op):
 def test_non_finite_input_is_a_domain_error(value):
     with pytest.raises(DomainError):
         EvenPolynomial(1, {(0,): value})
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[5], 7, [{"k": 5, "q": 1}], [{"q": 1}], [{"k": [1]}], [{"k": [0], "q": 1, "a": 2}]],
+    ids=["int-term", "not-a-list", "k-not-a-list", "k-missing", "q-missing", "extra-key"],
+)
+def test_json_terms_schema_is_a_domain_error(terms):
+    # the spec reader builds family members and operators from the same term list
+    with pytest.raises(DomainError):
+        cli._spec_function({"function": {"terms": terms}}, MuVector(["1/2"]))
+    with pytest.raises(DomainError):
+        cli._spec_operator({"operator": {"terms": terms}}, 1)
 
 
 # ---------------------------------------------------------------------------
