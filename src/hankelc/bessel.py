@@ -171,15 +171,27 @@ def gamma_fn(x) -> float:
 
 
 def _series_sum(nu: float, z: np.ndarray) -> np.ndarray:
-    """Even entire factor sum_m (-z^2/4)^m / (m! (nu+1)_m); for z <= 12."""
+    """Even entire factor sum_m (-z^2/4)^m / (m! (nu+1)_m); for z <= 12.
+
+    Stops once max|term| <= 1e-17 max|total|.  Each step scales |term| by
+    z^2/4 and divides it by the same m (nu + m) > 0, and rounding keeps that
+    order, so max|term| is the entry at the largest z: one read per term.
+    reach = 1 + the sum of those reads bounds |total|, so max|total| is
+    formed only once the test can pass (the factor 2 covers rounding).
+    """
     half = 0.5 * z
     ratio = -(half * half)
     term = np.ones_like(z)
     total = np.ones_like(z)
+    top = int(np.argmax(z))
+    reach = 1.0
     for m in range(1, 80):
-        term = term * ratio / (m * (nu + m))
+        np.multiply(term, ratio, out=term)
+        term /= m * (nu + m)
         total += term
-        if np.max(np.abs(term)) <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
+        peak = abs(float(term[top]))
+        reach += peak
+        if peak <= 2e-17 * reach and peak <= 1e-17 * max(np.max(np.abs(total)), 1e-300):
             break
     return total
 

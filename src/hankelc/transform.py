@@ -137,7 +137,7 @@ def _check_arguments(ys: np.ndarray, rule: QuadratureRule):
     if float(np.max(ys)) * rule.radius > DEFAULT_Z_MAX:
         raise DomainError(
             "kernel argument "
-            f"{float(np.max(ys)) * rule.radius:.1f} exceeds the Bessel cap "
+            f"{float(np.max(ys)) * rule.radius:.4g} exceeds the Bessel cap "
             f"{DEFAULT_Z_MAX}; shrink the output grid"
         )
 

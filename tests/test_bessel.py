@@ -17,6 +17,7 @@ from hankelc import (
     EvenPolynomial,
     MuVector,
     bessel_j,
+    build_quadrature,
     c_k_mu,
     c_mu,
     gamma_fn,
@@ -107,6 +108,25 @@ def test_other_orders_keep_their_routes_bit_for_bit():
         digest.update(reduced_bessel(nu, z).tobytes())
     assert digest.hexdigest() == "6885e986e2f4cea01fc079b8b3d9873802427865"
     assert bessel_module._finite_terms(0.25) == bessel_module._finite_terms(10.0) == 0
+
+
+def test_series_stop_is_pinned_below_the_cutoff():
+    # the digest of bessel_j and reduced_bessel while the series' stop test
+    # still formed max|term| and max|total| on every term (numpy 2.4,
+    # x86-64): kernel arguments of a radius-8 rule reaching about 3, 8 and
+    # just under 12, an unsorted array with its largest entry in the middle,
+    # exact zeros and a single point
+    nodes = build_quadrature(8.0).nodes
+    middle = np.random.default_rng(23).uniform(0.0, 9.0, 201)
+    middle[100] = 11.5
+    inputs = [np.outer(np.linspace(0.1, top / 8.0, 9), nodes).ravel() for top in (3.0, 8.0, 12.0)]
+    inputs += [middle, np.array([0.0, 4.0, 0.0, 10.5, 0.0, 0.25]), np.array([6.75])]
+    digest = hashlib.sha1()
+    for nu in (Fraction(-1, 2), 0, Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), Fraction(15, 2), Fraction(7, 3)):
+        for z in inputs:
+            digest.update(bessel_j(nu, z).tobytes())
+            digest.update(reduced_bessel(nu, z).tobytes())
+    assert digest.hexdigest() == "98fda01c1500cf032e821d62b9722f95f2812827"
 
 
 def test_bessel_half_order_closed_forms():

@@ -458,6 +458,7 @@ _QUAD = ["transform", "--grid", "0.1:2:4", "--quad", "24:16:10"]
         (_DECAY_0, _QUAD),
         (_DECAY_0, _QUAD + ["--direct"]),
         ('{"mu": ["1/2"], %s}' % _FN, ["transform", "--grid", "0.1:inf:4"]),
+        ('{"mu": ["1/2"], %s}' % _FN, ["transform", "--grid", "0.1:1e300:4"]),
     ],
     ids=[
         "k-overflow",
@@ -472,6 +473,7 @@ _QUAD = ["transform", "--grid", "0.1:2:4", "--quad", "24:16:10"]
         "decay-0-with-a-rule",
         "decay-0-with-a-rule-direct",
         "grid-infinite",
+        "grid-huge",
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -481,6 +483,8 @@ def test_malformed_value_exit_2(tmp_path, spec, argv, capsys):
     assert main(argv + ["--spec", str(path)]) == 2
     captured = capsys.readouterr()
     assert "invalid input" in captured.err and "Traceback" not in captured.err
+    # one short line: a huge kernel argument is not printed digit by digit
+    assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
     assert captured.out == ""
 
 
