@@ -134,40 +134,14 @@ class MuVector(tuple):
         return [_coeff_to_json(v) for v in self]
 
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Good to ~1e-13
-# relative on the positive axis; reflection is not needed here.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(x) -> float:
-    """Gamma(x) for real x > 0."""
+    """Gamma(x) for real x > 0, refusing arguments whose Gamma overflows."""
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"gamma needs a positive argument, got {x}")
     if x > _GAMMA_MAX:
         raise DomainError(f"gamma({x}) overflows double precision")
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    if x < 100.0:
-        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-    # large arguments: assemble in log space to dodge intermediate overflow
-    return math.exp(
-        0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
-    )
+    return math.gamma(x)
 
 
 def _series_sum(nu: float, z: np.ndarray) -> np.ndarray:

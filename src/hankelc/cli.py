@@ -381,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("taylor", help="even Taylor data at the origin")
     p.add_argument("--spec", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "exact", "extrapolate"), default="auto")
+    p.add_argument("--method", choices=("exact", "extrapolate"), default="exact")
     p.add_argument("--out")
     p.set_defaults(func=cmd_taylor)
 
     p = sub.add_parser("pair-delta", help="pair a delta derivative with the function")
     p.add_argument("--spec", required=True)
     p.add_argument("-k", required=True, help="comma separated multi-index")
-    p.add_argument("--method", choices=("auto", "exact", "extrapolate"), default="auto")
+    p.add_argument("--method", choices=("exact", "extrapolate"), default="exact")
     p.add_argument("--transform-check", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair_delta)

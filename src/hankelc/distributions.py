@@ -147,8 +147,6 @@ def _diag_gaps(a: GaussianPolynomial, b: GaussianPolynomial) -> list:
 def _limit_tk(k: MultiIndex, u: GaussianPolynomial, method: str):
     """Limit of T^k u at the origin; exact or extrapolated."""
     du = apply_Tk(k, u)
-    if method == "auto":
-        method = "exact" if u.decay == 0 else "extrapolate"
     if method == "exact":
         return du.poly.constant_term()
     if method == "extrapolate":
@@ -157,13 +155,12 @@ def _limit_tk(k: MultiIndex, u: GaussianPolynomial, method: str):
     raise DomainError(f"unknown method {method!r}")
 
 
-def pair_delta(k, mu, phi, method: str = "auto"):
+def pair_delta(k, mu, phi, method: str = "exact"):
     """Pairing of the k-th delta derivative with a test function.
 
-    Equals c_mu(mu) * lim_{x->0} T^k u.  For symbolic input with no
-    decay the limit is read off exactly; otherwise it is extrapolated
-    along x = 2^-j (1,..,1) (override with method="exact", which is
-    valid for any symbolic member).
+    Equals c_mu(mu) * lim_{x->0} T^k u.  The limit is the constant term
+    of T^k u, read off exactly; method="extrapolate" instead extrapolates
+    it along x = 2^-j (1,..,1).
     """
     mu = MuVector(mu)
     k = MultiIndex(k)
@@ -230,7 +227,7 @@ class TaylorReport:
         }
 
 
-def taylor_coeffs(mu, phi: SymbolicHFunction, order: int, method: str = "auto") -> TaylorReport:
+def taylor_coeffs(mu, phi: SymbolicHFunction, order: int, method: str = "exact") -> TaylorReport:
     """Even Taylor coefficients a_2k = lim T^k u / (2^|k| k!), |k| <= order."""
     mu = MuVector(mu)
     if tuple(phi.mu) != tuple(mu):
@@ -238,12 +235,9 @@ def taylor_coeffs(mu, phi: SymbolicHFunction, order: int, method: str = "auto") 
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
     u = phi.u
-    resolved = method if method != "auto" else (
-        "exact" if u.decay == 0 else "extrapolate"
-    )
     coeffs = {}
     for k in mi_graded_enumerate(mu.dim, order):
-        lim = _limit_tk(k, u, resolved)
+        lim = _limit_tk(k, u, method)
         coeffs[k] = lim / (2 ** k.order * mi_factorial(k))
     partial = GaussianPolynomial(EvenPolynomial(mu.dim, coeffs), 0)
     tk_remainder = {
@@ -252,7 +246,7 @@ def taylor_coeffs(mu, phi: SymbolicHFunction, order: int, method: str = "auto") 
         if k.order == order
     }
     return TaylorReport(
-        mu, order, resolved, coeffs, _diag_gaps(u, partial), tk_remainder
+        mu, order, method, coeffs, _diag_gaps(u, partial), tk_remainder
     )
 
 

@@ -51,7 +51,7 @@ def default_sup_grid(f: SymbolicHFunction, weight_power: int) -> GridSpec:
     c = float(f.decay)
     deg = max(f.poly.degree, 0)
     radius = 2.0 * math.sqrt((weight_power + deg + 1) / c) + 5.0
-    radius = min(40.0, max(8.0, radius))
+    radius = max(8.0, radius)
     points = _POINTS_BY_DIM.get(f.dim, 30)
     return GridSpec.geometric(1e-3, radius, points, dim=f.dim)
 

@@ -12,11 +12,18 @@ update this table on purpose, next to the caller that needs it.
 
 PUBLIC pins the names hankelc exports (its submodules aside), so a
 deleted name or alias comes back only on purpose.
+
+CLI_OPTIONS pins the command line the same way: for the global options
+and for each subcommand of build_parser(), every flag or positional with
+its (default, choices).  A CLI option is added, removed or given a new
+default or new choices only on purpose.
 """
 
+import argparse
 import inspect
 
 import hankelc
+from hankelc.cli import build_parser
 
 OPTIONS = {
     "EvenPolynomial": {"coeffs": None},
@@ -35,13 +42,13 @@ OPTIONS = {
     "hankel_roundtrip_residual": {"rule": None},
     "liouville_solve": {"skip_weak": False},
     "multiplier_check": {"points_per_axis": 200},
-    "pair_delta": {"method": "auto"},
+    "pair_delta": {"method": "exact"},
     "richardson_limit": {"floor": 0.0},
     "run_all": {"names": None, "negative_controls": False, "threads": 1},
     "run_suite": {"negative_controls": False, "threads": 1},
     "seminorm_gamma": {"grid": None},
     "seminorm_lambda": {"grid": None},
-    "taylor_coeffs": {"method": "auto"},
+    "taylor_coeffs": {"method": "exact"},
     "weak_spectral_check": {"mu": None, "family": None, "rule": None},
 }
 
@@ -65,6 +72,29 @@ PUBLIC = {
     "run_suite", "sample_on_nodes", "seminorm_gamma", "seminorm_lambda", "seminorm_rho",
     "smooth_step", "taylor_coeffs", "truncation_radius", "unit_index",
     "weak_spectral_check",
+}
+
+CLI_OPTIONS = {
+    "hankelc": {"--threads": (1, None)},
+    "transform": {
+        "--spec": (None, None), "--grid": ("0.1:4:64", None), "--quad": (None, None),
+        "--direct": (False, None), "--format": ("json", ("json", "csv")), "--out": (None, None),
+    },
+    "kernel": {"--spec": (None, None), "--degree": (None, None), "--skip-weak": (False, None), "--out": (None, None)},
+    "verify": {"suites": (None, None), "--negative-controls": (False, None), "--json": (False, None), "--out": (None, None)},
+    "seminorm": {
+        "--spec": (None, None), "--kind": (None, ("gamma", "lambda", "rho")), "-m": (None, None),
+        "-k": (None, None), "--order": (None, None), "--out": (None, None),
+    },
+    "taylor": {
+        "--spec": (None, None), "--order": (None, None),
+        "--method": ("exact", ("exact", "extrapolate")), "--out": (None, None),
+    },
+    "pair-delta": {
+        "--spec": (None, None), "-k": (None, None), "--method": ("exact", ("exact", "extrapolate")),
+        "--transform-check": (False, None), "--out": (None, None),
+    },
+    "multiplier": {"--spec": (None, None), "--max-order": (None, None), "--out": (None, None)},
 }
 
 
@@ -107,3 +137,20 @@ def test_direct_is_keyword_only():
     # direct must be named to be read as what it is
     param = inspect.signature(hankelc.hankel_nd).parameters["direct"]
     assert param.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def _cli_options(parser) -> dict:
+    return {
+        (a.option_strings[0] if a.option_strings else a.dest): (a.default, a.choices)
+        for a in parser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    }
+
+
+def test_every_cli_option_is_pinned():
+    parser = build_parser()
+    found = {"hankelc": _cli_options(parser)}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        found[name] = _cli_options(subparser)
+    assert found == CLI_OPTIONS

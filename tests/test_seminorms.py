@@ -48,6 +48,17 @@ def test_gamma_weighted():
     assert got == pytest.approx(2 * math.exp(-0.5), rel=1e-9)
 
 
+def test_gamma_of_a_slow_decay_reaches_its_far_hump():
+    # (1 + |x|^2)^2 (1 + s1 s2) e^(-(s1 + s2)/1000), s = x^2, peaks on the
+    # diagonal s1 = s2 = s at the largest root of
+    # 4c s^3 + (2c - 8) s^2 + (4c - 2) s + 2c - 4 (|x_a| near 44.7)
+    f = SymbolicHFunction(MuVector([HALF, HALF]), EvenPolynomial(2, {(0, 0): 1, (1, 1): 1}), Fraction(1, 1000))
+    c = 1e-3
+    s = max(r.real for r in np.roots([4 * c, 2 * c - 8, 4 * c - 2, 2 * c - 4]) if abs(r.imag) < 1e-9)
+    want = (1 + 2 * s) ** 2 * (1 + s * s) * math.exp(-2 * c * s)
+    assert seminorm_gamma(2, (0, 0), [HALF, HALF], f) == pytest.approx(want, rel=1e-6)
+
+
 def test_gamma_with_derivative():
     # T e^{-v/2} = -e^{-v/2}; same sup as order 0
     got = seminorm_gamma(0, (1,), ["1/2"], _f1())
