@@ -32,6 +32,7 @@ from .distributions import (
     taylor_coeffs,
 )
 from .errors import (
+    DecayRequired,
     DomainError,
     HankelcError,
     HypothesisFailed,
@@ -228,6 +229,10 @@ def cmd_transform(args) -> int:
     if window is None:
         target = f
     else:
+        if f.decay == 0 and isinstance(window, OuterWindow):
+            raise DecayRequired("a decay-0 member under an outer window never decays, so no rule truncates it")
+        if f.decay == 0 and rule.radius < window.outer:
+            raise DomainError(f"the rule's radius {rule.radius:g} ends inside the window's outer radius {window.outer:g}")
         wf = WindowedHFunction(f, window)
         target = lambda *cols: wf.evaluate(cols)
     gf = hankel_nd(mu, target, grid, rule, direct=args.direct)

@@ -2,17 +2,20 @@
 
 CutoffSpec is identically 1 on a ball and 0 outside a larger ball;
 OuterWindow is the reverse (0 near the origin, 1 far out).  Both are
-radial, infinitely smooth, and expose derivatives with respect to the
-squared radius v = |x|^2, which is what the operator T sees:
-T^k w = 2^|k| W^(|k|)(v) for any radial w(x) = W(|x|^2).
+smooth_step(t(r)) for an affine map t of r = |x|, and expose exact
+derivatives in the squared radius v = |x|^2, which is what the operator
+T sees: T^k w = 2^|k| W^(|k|)(v) for any radial w(x) = W(|x|^2).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bessel import _coeff
-from .errors import DomainError
+from .errors import DomainError, NumericError
+from .multiindex import _checked_power
 from .symbolic import SymbolicHFunction
 
 __all__ = ["CutoffSpec", "OuterWindow", "WindowedHFunction", "smooth_step"]
@@ -28,21 +31,13 @@ def smooth_step(t):
     return float(out) if out.ndim == 0 else out
 
 
-# central finite-difference stencils in v for orders 1..4, error O(h^4)
-# for 1 and 2, O(h^2) for 3 and 4; plenty for bound reporting
-def _fd(fn, v, order: int, scale: float):
-    if not 1 <= order <= 4:
-        raise DomainError(f"window derivatives implemented up to order 4, got {order}")
-    v = np.asarray(v, dtype=float)
-    h = scale * (1e-3, 1e-3, 1e-2, 2e-2)[order - 1]
-    f = [fn(v + j * h) for j in (-2, -1, 0, 1, 2)]
-    if order == 1:
-        return (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
-    if order == 2:
-        return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-    if order == 3:
-        return (-f[0] + 2 * f[1] - 2 * f[3] + f[4]) / (2 * h**3)
-    return (f[0] - 4 * f[1] + 6 * f[2] - 4 * f[3] + f[4]) / h**4
+def _reciprocal(a):
+    """Taylor rows of 1/a from those of a."""
+    c = np.empty_like(a)
+    c[0] = 1.0 / a[0]
+    for n in range(1, len(a)):
+        c[n] = -c[0] * np.sum(a[1 : n + 1] * c[n - 1 :: -1], axis=0)
+    return c
 
 
 class _RadialWindow:
@@ -57,8 +52,10 @@ class _RadialWindow:
         self.outer = outer
 
     def v_value(self, v):
-        """Profile as a function of the squared radius."""
-        raise NotImplementedError
+        """Profile smooth_step(t(r)) as a function of v = r^2; each window's
+        _t(r, one) is its affine map t, with one = 1 or the series of 1."""
+        v = np.asarray(v, dtype=float)
+        return smooth_step(self._t(np.sqrt(np.maximum(v, 0.0)), 1.0))
 
     def value(self, coords):
         cols = [np.asarray(c, dtype=float) for c in coords]
@@ -68,29 +65,45 @@ class _RadialWindow:
         return self.v_value(v)
 
     def v_derivative(self, v, order: int):
-        """d^order/dv^order of the profile, by finite differences."""
-        if order == 0:
-            return self.v_value(v)
-        scale = self.outer**2 - self.inner**2
-        return _fd(self.v_value, v, order, scale)
+        """d^order/dv^order of the profile from its Taylor series in v, up
+        to the shared power cap; 0 where exp(-1/t) or exp(-1/(1 - t))
+        underflows.  s = 1/(1 + e^g), g = 1/t - 1/(1 - t), solves
+        s' = -s (1 - s) g', with 1 - s carried as smooth_step(1 - t)."""
+        order = _checked_power((order,)).order
+        v = np.asarray(v, dtype=float)
+        t = self._t(np.sqrt(np.maximum(v, 0.0)), 1.0)
+        s, u = np.asarray(smooth_step(t)), np.asarray(smooth_step(1.0 - t))
+        inside = (s > 0.0) & (u > 0.0)
+        out = np.where(order == 0, s, 0.0)  # order 0 keeps the plateau's 1s
+        v, s, u = v[inside], s[inside], u[inside]
+        one, j = np.eye(order + 1, 1), np.arange(1.0, order + 1.0)[:, None]  # rows: powers of d
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.sqrt(v) * np.cumprod(np.vstack([np.ones_like(v), (1.5 - j) / (j * v)]), axis=0)
+            t = self._t(r, one)  # r: the binomial series of sqrt(v + d)
+            dg = j * (_reciprocal(t) - _reciprocal(one - t))[1:]  # n g_n
+            jet, p = np.empty_like(t), np.empty_like(t)  # p = s (1 - s)
+            jet[0], p[0] = s, s * u
+            for n in range(1, order + 1):
+                jet[n] = -np.sum(dg[:n] * p[n - 1 :: -1], axis=0) / n
+                p[n] = jet[n] * (u - s) - np.sum(jet[1:n] * jet[n - 1 : 0 : -1], axis=0)
+            out[inside] = math.factorial(order) * jet[order]
+        if not np.all(np.isfinite(out)):
+            raise NumericError(f"the window's derivative of order {order} overflows")
+        return out
 
 
 class CutoffSpec(_RadialWindow):
     """Radial plateau: 1 for |x| <= inner, 0 for |x| >= outer."""
 
-    def v_value(self, v):
-        v = np.asarray(v, dtype=float)
-        r = np.sqrt(np.maximum(v, 0.0))
-        return smooth_step((self.outer - r) / (self.outer - self.inner))
+    def _t(self, r, one):
+        return (self.outer * one - r) / (self.outer - self.inner)
 
 
 class OuterWindow(_RadialWindow):
     """Radial far-field window: 0 for |x| <= inner, 1 for |x| >= outer."""
 
-    def v_value(self, v):
-        v = np.asarray(v, dtype=float)
-        r = np.sqrt(np.maximum(v, 0.0))
-        return smooth_step((r - self.inner) / (self.outer - self.inner))
+    def _t(self, r, one):
+        return (r - self.inner * one) / (self.outer - self.inner)
 
 
 class WindowedHFunction:

@@ -468,8 +468,6 @@ def multiplier_check(form: MultiplierForm, max_order: int, points_per_axis: int 
     """
     if max_order < 0:
         raise DomainError(f"max_order must be >= 0, got {max_order}")
-    if max_order > 4 and form.window is not None:
-        raise DomainError("windowed forms support derivative order <= 4")
     _denominator_gate(form)
     n = form.dim
     pts = points_per_axis if n == 1 else max(40, points_per_axis // (2 ** (n - 1)))

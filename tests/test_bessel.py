@@ -5,12 +5,18 @@ it for Bessel evaluation.  Gamma is checked against exact factorials.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from numpy.lib.introspect import opt_func_info
 
 from hankelc import (
     DimensionMismatch,
@@ -109,27 +115,46 @@ def test_a_cut_expansion_fails_the_half_integer_check():
         assert _finite_error(lambda n, z: bessel_module._asymptotic_j(n, z, short), nu) > 1e-13
 
 
-def test_other_orders_keep_their_routes_bit_for_bit():
-    # the digest of bessel_j and reduced_bessel before half-integer orders
-    # got the terminating expansion, re-taken when Gamma became math.gamma:
-    # series and Miller outputs moved by at most 1.1e-15 of their size and
-    # the asymptotic ones not at all (numpy 2.4, x86-64)
+# numpy picks a SIMD kernel per float64 ufunc at run time, and its exp,
+# log, log1p and power kernels differ in the last bits, so each digest is
+# recorded per tuple of the kernels numpy dispatches for those four (numpy
+# 2.4, x86-64): all "X86_V4" on AVX-512, and the AVX2 tuple that
+# NPY_DISABLE_CPU_FEATURES = AVX2_ONLY selects there
+_UFUNC_SIGNATURES = {"exp": "dd", "log": "dd", "log1p": "dd", "power": "ddd"}
+_AVX512 = ("X86_V4", "X86_V4", "X86_V4", "X86_V4")
+_AVX2 = ("X86_V3", "X86_V3", "baseline(X86_V2)", "baseline(X86_V2)")
+AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"
+OTHER_ORDERS_DIGESTS = {
+    _AVX512: "7903972c52f0395fa05140f70b5bb0998cce4231",
+    _AVX2: "b63dfde0c9038145dd9de203631ebdb2ba5eb82c",
+}
+SERIES_STOP_DIGESTS = {
+    _AVX512: "5d7b7d61dfb7d27a4f833f13280dc5c4ca705f19",
+    _AVX2: "383fcac052e5aeabe0fa9350911ae7200aa52f76",
+}
+
+
+def _simd_key():
+    info = opt_func_info(func_name="^(exp|log|log1p|power)$", signature="float64")
+    return tuple(info[name][sig]["current"] for name, sig in _UFUNC_SIGNATURES.items())
+
+
+def _recorded(digests, key):
+    if key not in digests:
+        pytest.fail(f"no digest recorded for numpy's float64 exp, log, log1p and power kernels {key}")
+    return digests[key]
+
+
+def _other_orders_digest():
     z = np.linspace(0.0, 200.0, 200001)
     digest = hashlib.sha1()
     for nu in (0, 1, Fraction(1, 4), Fraction(7, 3), 10):
         digest.update(bessel_j(nu, z).tobytes())
         digest.update(reduced_bessel(nu, z).tobytes())
-    assert digest.hexdigest() == "7903972c52f0395fa05140f70b5bb0998cce4231"
-    assert bessel_module._finite_terms(0.25) == bessel_module._finite_terms(10.0) == 0
+    return digest.hexdigest()
 
 
-def test_series_stop_is_pinned_below_the_cutoff():
-    # the digest of bessel_j and reduced_bessel while the series' stop test
-    # still formed max|term| and max|total| on every term, re-taken when
-    # Gamma became math.gamma, which moved outputs by at most 1.9e-15 of
-    # their size (numpy 2.4, x86-64): kernel arguments of a radius-8 rule
-    # reaching about 3, 8 and just under 12, an unsorted array with its
-    # largest entry in the middle, exact zeros and a single point
+def _series_stop_digest():
     nodes = build_quadrature(8.0).nodes
     middle = np.random.default_rng(23).uniform(0.0, 9.0, 201)
     middle[100] = 11.5
@@ -140,7 +165,43 @@ def test_series_stop_is_pinned_below_the_cutoff():
         for z in inputs:
             digest.update(bessel_j(nu, z).tobytes())
             digest.update(reduced_bessel(nu, z).tobytes())
-    assert digest.hexdigest() == "5d7b7d61dfb7d27a4f833f13280dc5c4ca705f19"
+    return digest.hexdigest()
+
+
+def test_other_orders_keep_their_routes_bit_for_bit():
+    # the digest of bessel_j and reduced_bessel before half-integer orders
+    # got the terminating expansion, re-taken when Gamma became math.gamma:
+    # series and Miller outputs moved by at most 1.1e-15 of their size and
+    # the asymptotic ones not at all
+    assert _other_orders_digest() == _recorded(OTHER_ORDERS_DIGESTS, _simd_key())
+    assert bessel_module._finite_terms(0.25) == bessel_module._finite_terms(10.0) == 0
+
+
+def test_series_stop_is_pinned_below_the_cutoff():
+    # the digest of bessel_j and reduced_bessel while the series' stop test
+    # still formed max|term| and max|total| on every term, re-taken when
+    # Gamma became math.gamma, which moved outputs by at most 1.9e-15 of
+    # their size: kernel arguments of a radius-8 rule reaching about 3, 8
+    # and just under 12, an unsorted array with its largest entry in the
+    # middle, exact zeros and a single point
+    assert _series_stop_digest() == _recorded(SERIES_STOP_DIGESTS, _simd_key())
+
+
+def test_both_digests_hold_on_the_avx2_kernels():
+    # recompute both digests in a process that numpy runs on its AVX2
+    # kernels, so that every run checks the second recorded entry too
+    code = (
+        "import json, test_bessel as t; "
+        "print(json.dumps([t._simd_key(), t._other_orders_digest(), t._series_stop_digest()]))"
+    )
+    src = str(Path(bessel_module.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX2_ONLY, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    key, other, series = json.loads(proc.stdout)
+    assert other == _recorded(OTHER_ORDERS_DIGESTS, tuple(key))
+    assert series == _recorded(SERIES_STOP_DIGESTS, tuple(key))
 
 
 def test_bessel_half_order_closed_forms():

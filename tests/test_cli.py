@@ -92,6 +92,26 @@ def test_transform_windowed(tmp_path, capsys):
     assert windowed == pytest.approx(plain, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "kind, quad, code",
+    [("outer", "24:16:10", 2), ("outer", "24:16:20", 2), ("cutoff", "24:16:1.5", 2), ("cutoff", "24:16:4", 0)],
+)
+def test_decay_zero_member_under_a_window(tmp_path, capsys, kind, quad, code):
+    # x^(1/2) never decays: under an outer window the printed value was the
+    # rule's truncation (-8.024 at radius 10, 24.61 at 20), and a cutoff
+    # rule that stops inside the window printed 0.3743 for 0.4372
+    spec = {
+        "mu": ["1/2"],
+        "function": {"decay": 0, "terms": [{"k": [0], "q": 1}]},
+        "window": {"kind": kind, "inner": 1, "outer": 2},
+    }
+    path = _write_spec(tmp_path, spec)
+    got, out = _run(capsys, ["transform", "--spec", path, "--grid", "0.5:2:3", "--quad", quad])
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["values"][0] == pytest.approx(0.43724597, rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # kernel
 

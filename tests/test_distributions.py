@@ -1,5 +1,6 @@
 """Delta pairings, Taylor germs, functional reconstruction, multipliers."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -538,7 +539,19 @@ def test_multiplier_window_only():
     assert report.entries[MultiIndex((0,))]["bound"] == pytest.approx(1.0, rel=1e-9)
 
 
-def test_multiplier_order_cap_for_windows():
-    form = MultiplierForm(EvenRational(EvenPolynomial.constant(1, 1)), CutoffSpec(1.0, 3.0))
-    with pytest.raises(DomainError):
-        multiplier_check(form, 5)
+def test_multiplier_order_cap_for_windows(tmp_path, capsys):
+    # windowed forms take every order up to the shared power cap; the
+    # bound of theta = (1 + s1/2)/(1 + s1 + s2) under cutoff(1, 2) at
+    # k = (2, 2) comes from exact window derivatives (finite differences
+    # read 678.6 at order 4 and refused order 5)
+    spec = tmp_path / "theta.json"
+    spec.write_text(json.dumps({
+        "multiplier": {
+            "numer": [{"k": [0, 0], "q": 1}, {"k": [1, 0], "q": "1/2"}],
+            "denom": [{"k": [0, 0], "q": 1}, {"k": [1, 0], "q": 1}, {"k": [0, 1], "q": 1}],
+        },
+        "window": {"kind": "cutoff", "inner": 1, "outer": 2},
+    }))
+    assert cli.main(["multiplier", "--spec", str(spec), "--max-order", "6"]) == 0
+    entries = {tuple(e["k"]): e for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert entries[(2, 2)]["bound"] == pytest.approx(907.7655035, rel=1e-9)
