@@ -76,7 +76,6 @@ from .transform import (
 )
 from .seminorms import (
     default_sup_grid,
-    grid_supremum,
     lambda_gamma_bound_terms,
     seminorm_gamma,
     seminorm_lambda,

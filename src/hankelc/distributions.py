@@ -11,6 +11,7 @@ squared step.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -394,17 +395,15 @@ class MultiplierForm:
     def dim(self) -> int:
         return self.rational.dim
 
-    def t_power_values(self, k: MultiIndex, squares, vsum):
-        """T^k theta evaluated at squared coordinates."""
+    def t_power_values(self, squares, vsum):
+        """The map k -> T^k theta evaluated at squared coordinates; each
+        T^j of the rational part and each window derivative is evaluated
+        once, however many indices use it."""
+        rat = functools.cache(lambda j: self.rational.t_power(j).evaluate(squares))
         if self.window is None:
-            return self.rational.t_power(k).evaluate(squares)
-        total = 0.0
-        for j in mi_below(k):
-            rat = self.rational.t_power(j).evaluate(squares)
-            m = (k - j).order
-            wder = self.window.v_derivative(vsum, m) * 2.0**m
-            total = total + mi_binomial(k, j) * rat * wder
-        return total
+            return rat
+        wder = functools.cache(lambda m: self.window.v_derivative(vsum, m) * 2.0**m)
+        return lambda k: sum((mi_binomial(k, j) * rat(j) * wder((k - j).order) for j in mi_below(k)), 0.0)
 
 
 @dataclasses.dataclass(slots=True, eq=False)
@@ -477,9 +476,10 @@ def multiplier_check(form: MultiplierForm, max_order: int, points_per_axis: int 
     for s in squares[1:]:
         vsum = vsum + s
     inner_mask = vsum <= _RADIUS * _RADIUS
+    t_power = form.t_power_values(squares, vsum)
     entries = {}
     for k in mi_graded_enumerate(n, max_order):
-        tvals = np.abs(np.asarray(form.t_power_values(k, squares, vsum), dtype=float))
+        tvals = np.abs(np.asarray(t_power(k), dtype=float))
         tvals = np.broadcast_to(tvals, vsum.shape)
         exponent = None
         bound = None

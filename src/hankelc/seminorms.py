@@ -6,10 +6,11 @@ only numerical step is taking a supremum of a closed-form expression:
     gamma_{m,k} = sup (1+|x|^2)^m |T^k u|,
     lambda_{m,k} = sup (1+|x|^2)^m |u-part of S^k f|.
 
-Suprema are estimated on geometric tensor grids, followed by stencil
-climbs from the grid's highest local maxima, on the open orthant and on
-each of its faces where some coordinates vanish, down to the exact
-x -> 0 limit (the constant term of the polynomial).
+Suprema are the largest |F| = (1 + sum s)^m |Q(s)| e^(-c sum s), s = x^2,
+met on a geometric tensor grid and along Newton runs on log|F|, with exact
+derivatives, from the grid's highest local maxima: on the open orthant, on
+each face where some coordinates vanish, and at the exact x -> 0 limit (the
+constant term of Q).  Each is attained, so none exceeds the supremum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "seminorm_lambda",
     "seminorm_rho",
     "default_sup_grid",
-    "grid_supremum",
 ]
 
 _POINTS_BY_DIM = {1: 400, 2: 200, 3: 60}
@@ -56,90 +56,18 @@ def default_sup_grid(f: SymbolicHFunction, weight_power: int) -> GridSpec:
     return GridSpec.geometric(1e-3, radius, points, dim=f.dim)
 
 
-# grid local maxima within this fraction of the grid maximum start a climb
+# grid local maxima within this fraction of the grid maximum start a
+# Newton run, at most _MAX_STARTS of them, highest first
 _START_MARGIN = 0.1
 _MAX_STARTS = 8
-# a climb stops at a stencil step in log x below this; the quadratic
-# vertex step taken before it leaves an error of order that step squared
-_CLIMB_TOL = 1e-5
-_MAX_CLIMB_ROUNDS = 200
+_MAX_NEWTON = 40
 
 
-def _vertex_shift(vals, mid, stride) -> np.ndarray:
-    """Shift, in stencil steps, to the vertex of the quadratic through a
-    3^n stencil (vals in itertools.product order, centre at mid); zero
-    when the quadratic is not concave or its vertex is outside the
-    stencil."""
-    n = len(stride)
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    for a, sa in enumerate(stride):
-        fp, fm = vals[mid + sa], vals[mid - sa]
-        grad[a] = 0.5 * (fp - fm)
-        hess[a, a] = fp - 2.0 * vals[mid] + fm
-        for b, sb in enumerate(stride[:a]):
-            hess[a, b] = hess[b, a] = 0.25 * (
-                vals[mid + sa + sb] - vals[mid + sa - sb]
-                - vals[mid - sa + sb] + vals[mid - sa - sb]
-            )
-    try:
-        np.linalg.cholesky(-hess)
-        shift = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        return np.zeros(n)
-    return shift if np.max(np.abs(shift)) <= 1.0 else np.zeros(n)
-
-
-def _climb(fn, centre, step, lo, hi, offsets) -> float:
-    """Largest |fn| met by a stencil climb from centre, in log x.
-
-    Each round evaluates the 3^n stencil centre + step * offsets, kept
-    inside the box [lo, hi], in one call to fn.  A better neighbour
-    becomes the centre and the step doubles, so a climb can follow a
-    flat ridge many grid steps away.  Otherwise the centre moves to the
-    vertex of the quadratic through the stencil and the step shrinks by
-    8; the climb ends when a round at a step below _CLIMB_TOL finds no
-    better neighbour.
-    """
-    n = centre.size
-    mid = len(offsets) // 2
-    stride = [3 ** (n - 1 - a) for a in range(n)]
-    top = -math.inf
-    for _ in range(_MAX_CLIMB_ROUNDS):
-        trial = np.minimum(np.maximum(centre + step * offsets, lo), hi)
-        got = np.abs(np.asarray(fn(list(np.exp(trial.T))), dtype=float)).tolist()
-        vals = [v if v == v else -math.inf for v in got]  # NaN never wins
-        j = max(range(len(vals)), key=vals.__getitem__)
-        top = max(top, vals[j])
-        if vals[j] > vals[mid]:
-            centre, step = trial[j], 2.0 * step
-            continue
-        if step.max() < _CLIMB_TOL:
-            break
-        shift = _vertex_shift(vals, mid, stride)
-        centre = np.minimum(np.maximum(centre + shift * step, lo), hi)
-        step = 0.125 * step
-    return top
-
-
-def grid_supremum(fn, grid: GridSpec) -> float:
-    """Max of |fn| over the grid, refined by stencil climbs in log space.
-
-    fn takes per-axis coordinate arrays (broadcastable) and returns the
-    (signed) values; the supremum is of the absolute value.  Every grid
-    local maximum within _START_MARGIN of the grid maximum (at most
-    _MAX_STARTS of them, highest first) starts a climb, so a hump that
-    the grid sampled just below another is still polished.  Climbs stay
-    inside the grid's box: the faces where coordinates vanish are
-    searched as grids of their own.
-    """
-    n = grid.dim
-    vals = np.abs(np.asarray(fn(grid.meshgrid()), dtype=float))
+def _starts(vals) -> list:
+    """Grid indices of the local maxima of vals (each >= its 3^n - 1
+    neighbours) within _START_MARGIN of the maximum, highest first."""
     best = float(np.max(vals))
-    if not best > 0.0 or not math.isfinite(best):
-        return best
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
-    # a start is a grid point within the margin and >= its 3^n - 1 neighbours
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=vals.ndim)))
     padded = np.pad(vals, 1, constant_values=-np.inf)
     cand = np.flatnonzero(vals >= (1.0 - _START_MARGIN) * best)
     at = np.ravel_multi_index(
@@ -149,49 +77,92 @@ def grid_supremum(fn, grid: GridSpec) -> float:
     neighbours = padded.ravel()[at[:, None] + flat]
     cand = cand[np.all(vals.ravel()[cand, None] >= neighbours, axis=1)]
     cand = cand[np.argsort(-vals.ravel()[cand], kind="stable")[:_MAX_STARTS]]
+    return list(zip(*np.unravel_index(cand, vals.shape)))
 
-    logs = [np.log(axis) for axis in grid.axes]
-    lo, hi = np.array([v[0] for v in logs]), np.array([v[-1] for v in logs])
-    # the local grid spacing in log x (none on a one-point axis)
-    gaps = [np.diff(v) if v.size > 1 else np.zeros(1) for v in logs]
-    top = best
-    for idx in zip(*np.unravel_index(cand, vals.shape)):
-        centre = np.array([v[i] for v, i in zip(logs, idx)])
-        step = np.array([g[min(max(i - 1, 0), g.size - 1)] for g, i in zip(gaps, idx)])
-        top = max(top, _climb(fn, centre, step, lo, hi, offsets))
-    return top
+
+def _derivative_table(poly):
+    """Q, its gradient and its Hessian in s as exponents E, shape (R, M, n),
+    and coefficients C, shape (R, M), with R = 1 + n + n^2: at s,
+    (C * prod(s**E, -1)).sum(-1) is [Q, dQ/ds_a, d2Q/ds_a ds_b].
+
+    The term c s^K contributes c K_a s^(K - e_a) and
+    c K_a (K_b - [a = b]) s^(K - e_a - e_b); where an exponent would go
+    below 0 the coefficient is 0, so the clamp changes no value.
+    """
+    n = poly.dim
+    K = np.array([tuple(k) for k, _ in poly.items()], dtype=float).reshape(-1, n)
+    c = np.array([float(v) for _, v in poly.items()])
+    eye = np.eye(n)
+    first = K - eye[:, None, :]
+    second = first[:, None] - eye[None, :, None, :]
+    KT = K.T * c
+    E = np.concatenate([K[None], first, second.reshape(n * n, -1, n)])
+    C = np.concatenate([c[None], KT, (KT[:, None] * (K.T - eye[..., None])).reshape(n * n, -1)])
+    return np.maximum(E, 0.0), C
+
+
+def _newton(E, C, m: int, decay: float, s, free, top) -> float:
+    """Largest |F| visited by Newton's method on log|F|, F(s) =
+    (1 + sum s)^m Q(s) e^(-decay sum s), over the free axes from s.
+
+    A run stops at a step that leaves the box [0, top], at a singular
+    Hessian, at Q = 0, at a step below 1e-15 (1 + max s) or after
+    _MAX_NEWTON steps.
+    """
+    n = s.size
+    sub = np.ix_(free, free)
+    best = 0.0
+    for i in range(_MAX_NEWTON + 1):
+        d = (C * np.prod(s**E, -1)).sum(-1)
+        ssum = float(s.sum())
+        total = 1.0 + ssum
+        q = float(d[0])
+        best = max(best, abs(total**m * q * math.exp(-decay * ssum)))
+        if q == 0.0 or i == _MAX_NEWTON:
+            break
+        grad = d[1 : n + 1] / q
+        hess = d[n + 1 :].reshape(n, n) / q - np.outer(grad, grad) - m / total**2
+        try:
+            step = np.linalg.solve(hess[sub], decay - m / total - grad[free])
+        except np.linalg.LinAlgError:
+            break
+        new = s[free] + step
+        tiny = np.max(np.abs(step)) <= 1e-15 * (1.0 + s.max())
+        if tiny or np.any(new < 0.0) or np.any(new > top[free]):
+            break
+        s = s.copy()
+        s[free] = new
+    return best
 
 
 def _weighted_sup(u: GaussianPolynomial, m: int, grid: GridSpec) -> float:
+    """sup (1+|x|^2)^m |u| over the closed orthant, as the largest of the
+    constant term (the x -> 0 limit) and, on the open orthant and each
+    face where some coordinates vanish, the grid maximum and the Newton
+    runs from the grid's highest local maxima."""
     if grid.dim != u.dim:
         raise DimensionMismatch(f"grid dimension {grid.dim}, function {u.dim}")
-
-    def fn(cols):
-        ssum = cols[0] * cols[0]
-        for c in cols[1:]:
-            ssum = ssum + c * c
-        return (1.0 + ssum) ** m * u.evaluate(cols)
-
-    # the supremum over the open orthant is the maximum over its closure,
-    # and it can sit on a face where some coordinates vanish: search every
-    # face on the grid's own axes, down to the origin (the constant term)
     n = grid.dim
+    decay = float(u.decay)
+    E, C = _derivative_table(u.poly)
+    squares = [a * a for a in grid.axes]
+    top = np.array([sq[-1] for sq in squares])
     best = abs(float(u.poly.constant_term()))
     for r in range(1, n + 1):
         for free in itertools.combinations(range(n), r):
-
-            def face(cols, free=free):
-                full = [0.0] * n
-                for a, c in zip(free, cols):
-                    full[a] = c
-                return fn(full)
-
-            sub = GridSpec([grid.axes[a] for a in free])
-            face_sup = grid_supremum(face, sub)
+            cols = np.meshgrid(*[squares[a] for a in free], indexing="ij")
+            full = [cols[free.index(a)] if a in free else 0.0 for a in range(n)]
+            ssum = sum(cols)
+            vals = np.abs((1.0 + ssum) ** m * u.poly.evaluate(full) * np.exp(-decay * ssum))
+            face = float(np.max(vals))
             # max() would silently drop a NaN sample (say inf * 0)
-            if not math.isfinite(face_sup):
+            if not math.isfinite(face):
                 raise NumericError("the weighted function has non-finite samples")
-            best = max(best, face_sup)
+            best = max(best, face)
+            for idx in _starts(vals):
+                s = np.zeros(n)
+                s[list(free)] = [squares[a][i] for a, i in zip(free, idx)]
+                best = max(best, _newton(E, C, m, decay, s, list(free), top))
     return best
 
 

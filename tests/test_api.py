@@ -63,7 +63,7 @@ PUBLIC = {
     "WindowedHFunction", "apply_L", "apply_S", "apply_Sk", "apply_T", "apply_Tk",
     "bessel_j", "build_quadrature", "c_k_mu", "c_mu", "check_hypothesis",
     "default_rule_for", "default_sup_grid", "default_weak_family", "gamma_fn",
-    "grid_supremum", "hankel_1d", "hankel_nd", "hankel_roundtrip_residual",
+    "hankel_1d", "hankel_nd", "hankel_roundtrip_residual",
     "kernel_basis", "koh_zemanian_coeffs", "koh_zemanian_coeffs_nd",
     "lambda_gamma_bound_terms", "leibniz_Tk", "liouville_solve", "mi_below",
     "mi_binomial", "mi_factorial", "mi_graded_enumerate", "multiplier_check",
