@@ -3,19 +3,24 @@
 Bessel functions of the first kind are evaluated by four methods glued
 together by order and argument size:
 
-* ascending power series for z <= 12, where alternation costs at most
-  a couple of digits;
+* ascending power series for z <= 12 (for a half-integer order, below
+  the crossover z_h of the last item), where alternation costs at most a
+  couple of digits;
 * backward (Miller-type) recurrence normalized with the even-order sum
   identity (1/2 z)^nu = sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(z) in the
   middle range, where neither series converges cleanly in doubles;
 * the large-argument cosine expansion once it can reach ~1e-13 before
   its terms start growing;
-* for a half-integer order, the same expansion summed in full for every
-  z > 12 at which no term exceeds _FINITE_PEAK: its coefficients carry
-  the factor 4 nu^2 - (2j-1)^2, so it stops after |nu| + 1/2 terms and is
-  exact.  Cancellation then costs at most about (|nu| + 1/2) *
-  _FINITE_PEAK * eps relative to sqrt(2 / (pi z)); against scipy's jv
-  the error stays below 6e-14 for orders up to 83/2.
+* for a half-integer order, the same expansion summed in full: its
+  coefficients carry the factor 4 nu^2 - (2j-1)^2, so it stops after
+  |nu| + 1/2 terms and is exact.  It serves every z >= z_h = max(2, the
+  smallest z at which no term exceeds _NEAR_PEAK) when z_h <= 12, and
+  the series everything below; otherwise every z > 12 at which no term
+  exceeds _FINITE_PEAK, with Miller's recurrence between.  Cancellation
+  costs at most about (|nu| + 1/2) * peak * eps relative to
+  sqrt(2 / (pi z)): within 4e-16 of a 140-digit oracle on 3,400 points of
+  (0, 200] for the orders -1/2 .. 7/2 and 15/2, and below 6e-14 against
+  scipy's jv for orders up to 83/2 above 12.
 
 All entry points accept scalars or numpy arrays for z.
 """
@@ -46,8 +51,12 @@ DEFAULT_Z_MAX = 200.0
 _SERIES_CUTOFF = 12.0
 _GAMMA_MAX = 171.5
 # the largest term the terminating expansion of a half-integer order may
-# reach; below the z where it is reached, Miller's recurrence serves
+# reach above z = 12; below the z where it is reached, Miller's recurrence
+# serves
 _FINITE_PEAK = 1e3
+# the same bound from z = 2 on: where it holds from some z <= 12, the
+# expansion takes over from the series there and Miller serves nothing
+_NEAR_PEAK = 10.0
 
 
 def _coeff(v):
@@ -157,7 +166,7 @@ def _series_sum(nu: float, z: np.ndarray) -> np.ndarray:
     ratio = -(half * half)
     term = np.ones_like(z)
     total = np.ones_like(z)
-    top = int(np.argmax(z))
+    top = np.unravel_index(np.argmax(z), z.shape)
     reach = 1.0
     for m in range(1, 80):
         np.multiply(term, ratio, out=term)
@@ -184,33 +193,91 @@ def _asymptotic_j(nu: float, z: np.ndarray, terms: int = 0) -> np.ndarray:
     order's expansion terminates after _finite_terms(nu) of them, and a
     stop where the terms grow would cut that exact sum short.
     """
+    if terms:
+        return _finite_sum(nu, z, terms)
     mu4 = 4.0 * nu * nu
     inv8z = 1.0 / (8.0 * z)
-    # scalars until a term lands: the one-term sum allocates no array
     p, q, term = 1.0, 0.0, 1.0
     prev = math.inf
-    for j in range(1, terms or 40):
+    for j in range(1, 40):
         term *= mu4 - (2 * j - 1) ** 2
         term *= inv8z
         term /= j
-        if not terms:
-            mag = float(np.max(np.abs(term)))
-            if mag >= prev:
-                break
+        mag = float(np.max(np.abs(term)))
+        if mag >= prev:
+            break
         sign = -1.0 if (j // 2) % 2 else 1.0
         if j % 2:
             q += sign * term
         else:
             p += sign * term
-        if not terms:
-            if mag <= 1e-17:
-                break
-            prev = mag
+        if mag <= 1e-17:
+            break
+        prev = mag
     omega = z - (0.5 * nu + 0.25) * math.pi
     wave = p * np.cos(omega)
-    if terms != 1:  # the one-term expansion of nu = +-1/2 has q = 0
-        wave -= q * np.sin(omega)
+    wave -= q * np.sin(omega)
     return np.sqrt(2.0 / (math.pi * z)) * wave
+
+
+def _horner(coeffs: list, y: np.ndarray, out: np.ndarray):
+    """sum_k coeffs[k] y^k by Horner's rule in out; one coefficient is returned as it is."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    np.multiply(y, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= y
+    out += coeffs[0]
+    return out
+
+
+def _finite_sum(nu: float, z: np.ndarray, terms: int) -> np.ndarray:
+    """The first `terms` terms of a half-integer order's cosine expansion,
+    in at most four arrays.
+
+    J = sqrt(2/pi) / sqrt(z) (P cos w - Q sin w) with w = z - n pi/2,
+    n = nu + 1/2, P = sum_k (-1)^k a_2k / z^2k, Q = sum_k (-1)^k a_2k+1 /
+    z^(2k+1) and a_j = prod_{i<=j} (4 nu^2 - (2i-1)^2) / (8i).  As n is an
+    integer, cos w and sin w are +-cos z and +-sin z, with no rounded
+    multiple of pi.  Both come from one vectorized tan, where numpy's sin
+    and cos are two slow calls: with t = tan(z/2) and h = 2 / (1 + t^2),
+    sin z = t h and cos z = h - 1.  P and Q go by Horner's rule in 1/z^2,
+    and neither is formed while it is the constant 1 or a single term.
+    """
+    n = round(nu + 0.5)
+    mu4 = 4.0 * nu * nu
+    coeffs, a = [], 1.0
+    for j in range(terms):
+        coeffs.append(-a if (j // 2) % 2 else a)
+        a *= (mu4 - (2 * j + 1) ** 2) / (8.0 * (j + 1))
+    # P cos w - Q sin w = sign (P f + Q' g): f, g = cos z, sin z and Q' = -Q
+    # for even n, f, g = sin z, cos z and Q' = Q for odd n
+    sign = -1.0 if n % 4 >= 2 else 1.0
+    if n % 2 == 0:
+        coeffs[1::2] = [-c for c in coeffs[1::2]]
+    t = np.multiply(z, 0.5)
+    np.tan(t, out=t)
+    h = np.multiply(t, t)
+    h += 1.0
+    np.divide(2.0, h, out=h)
+    t *= h
+    h -= 1.0
+    f, g = (h, t) if n % 2 == 0 else (t, h)
+    if terms > 1:
+        y = acc = None
+        if terms > 2:
+            y = np.multiply(z, z)
+            np.divide(1.0, y, out=y)
+            acc = np.empty_like(z)
+            f *= _horner(coeffs[0::2], y, acc)
+        g *= _horner(coeffs[1::2], y, acc)
+        g /= z
+        f += g
+    np.sqrt(z, out=g)
+    np.divide(sign * math.sqrt(2.0 / math.pi), g, out=g)
+    f *= g
+    return f
 
 
 def _miller_j(nu: float, z: np.ndarray) -> np.ndarray:
@@ -269,31 +336,50 @@ def _finite_terms(nu: float) -> int:
     return int(abs(nu) + 0.5)
 
 
-def _finite_cutoff(nu: float, terms: int) -> float:
-    """Smallest z at which no term of the terminating expansion exceeds
-    _FINITE_PEAK.
+def _finite_cutoff(nu: float, terms: int, peak: float = _FINITE_PEAK) -> float:
+    """Smallest z at which no term of the terminating expansion exceeds peak.
 
     Term j is A_j / z^j with A_j = prod_{i<=j} |4 nu^2 - (2i-1)^2| / (8i),
-    so the bound holds from z = max_j (A_j / _FINITE_PEAK)^(1/j) on.  The
-    scan stops once that passes DEFAULT_Z_MAX.
+    so the bound holds from z = max_j (A_j / peak)^(1/j) on.  The scan
+    stops once that passes DEFAULT_Z_MAX.
     """
     cutoff, log_a = 0.0, 0.0
     for j in range(1, terms):
         log_a += math.log(abs(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j))
-        cutoff = max(cutoff, math.exp((log_a - math.log(_FINITE_PEAK)) / j))
+        cutoff = max(cutoff, math.exp((log_a - math.log(peak)) / j))
         if cutoff > DEFAULT_Z_MAX:
             break
     return cutoff
 
 
+def _crossovers(nu: float, terms: int) -> tuple:
+    """(s, a): the series serves z < s, the cosine expansion z >= a, and
+    Miller's recurrence the z in between.
+
+    The series keeps z = 12 itself.  A half-integer order (terms > 0)
+    whose expansion stays below _NEAR_PEAK from z_h = max(2, ...) <= 12 on
+    goes from the series straight to the expansion at z_h.
+    """
+    top = math.nextafter(_SERIES_CUTOFF, math.inf)
+    if not terms:
+        return top, _asym_cutoff(nu)
+    near = max(2.0, _finite_cutoff(nu, terms, _NEAR_PEAK))
+    if near <= _SERIES_CUTOFF:
+        return near, near
+    return top, max(top, _finite_cutoff(nu, terms))
+
+
 def _checked_argument(nu, z):
-    """(float order, 1-D float array, scalar flag) after the domain checks."""
+    """(float order, float array of at least one dimension, scalar flag,
+    smallest entry, largest entry) after the domain checks; an empty
+    array reports 0 for both."""
     nuf = float(nu)
     if nuf < -0.5:
         raise DomainError(f"order {nuf} < -1/2 not supported")
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    lo = hi = 0.0
     if arr.size:
         lo, hi = float(arr.min()), float(arr.max())
         if math.isnan(lo):
@@ -302,7 +388,7 @@ def _checked_argument(nu, z):
             raise DomainError(f"argument {lo} < 0")
         if hi > DEFAULT_Z_MAX:
             raise DomainError(f"argument {hi} exceeds the cap {DEFAULT_Z_MAX}")
-    return nuf, arr, scalar
+    return nuf, arr, scalar, lo, hi
 
 
 def bessel_j(nu, z):
@@ -310,23 +396,28 @@ def bessel_j(nu, z):
 
     z may be a scalar or a numpy array with entries in [0, DEFAULT_Z_MAX].
     """
-    nuf, arr, scalar = _checked_argument(nu, z)
+    nuf, arr, scalar, lo, hi = _checked_argument(nu, z)
     if arr.size == 0:
         return arr
-    out = np.empty_like(arr)
-    small = arr <= _SERIES_CUTOFF
     terms = _finite_terms(nuf)
-    if terms:
-        large = ~small & (arr >= _finite_cutoff(nuf, terms))
+    s, a = _crossovers(nuf, terms)
+    # one regime for the whole array needs no masks and no gather/scatter
+    if hi < s:
+        out = _series_j(nuf, arr)
+    elif lo >= a:
+        out = _asymptotic_j(nuf, arr, terms)
+    elif s <= lo and hi < a:
+        out = _miller_j(nuf, arr)
     else:
-        large = arr >= _asym_cutoff(nuf)
-    mid = ~(small | large)
-    if small.any():
-        out[small] = _series_j(nuf, arr[small])
-    if large.any():
-        out[large] = _asymptotic_j(nuf, arr[large], terms)
-    if mid.any():
-        out[mid] = _miller_j(nuf, arr[mid])
+        out = np.empty_like(arr)
+        small, large = arr < s, arr >= a
+        mid = ~(small | large)
+        if small.any():
+            out[small] = _series_j(nuf, arr[small])
+        if large.any():
+            out[large] = _asymptotic_j(nuf, arr[large], terms)
+        if mid.any():
+            out[mid] = _miller_j(nuf, arr[mid])
     return float(out[0]) if scalar else out
 
 
@@ -335,7 +426,7 @@ def reduced_bessel(nu, z):
 
     At z = 0 this equals 1 / (2^nu Gamma(nu+1)).
     """
-    nuf, arr, scalar = _checked_argument(nu, z)
+    nuf, arr, scalar, _, _ = _checked_argument(nu, z)
     if arr.size == 0:
         return arr
     out = np.empty_like(arr)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import MuVector, bessel_j, c_mu, gamma_fn
+from .bessel import MuVector, bessel_j, c_mu, gamma_fn, reduced_bessel
 from .distributions import pair_delta, pair_s_delta, taylor_coeffs
 from .errors import DomainError, HypothesisFailed
 from .liouville import liouville_solve, weak_spectral_check
@@ -93,7 +93,13 @@ def _chk_half_order() -> list:
         float(np.max(np.abs(bessel_j(0.5, z) - sin_form))),
         float(np.max(np.abs(bessel_j(-0.5, z) - cos_form))),
     )
-    return [_check("bessel_half_order", err, 1e-10)]
+    # from z = 2 both orders take the same terminating expansion as the
+    # closed forms; the series behind reduced_bessel is a second route there
+    mid = np.linspace(2.0, 12.0, 200)
+    series_err = max(
+        float(np.max(np.abs(bessel_j(nu, mid) - mid**nu * reduced_bessel(nu, mid)))) for nu in (0.5, -0.5)
+    )
+    return [_check("bessel_half_order", err, 1e-10), _check("bessel_half_order_series", series_err, 1e-10)]
 
 
 def _chk_bessel_derivative() -> list:

@@ -1,15 +1,21 @@
 """Special-function layer against independent references.
 
 scipy.special serves as an oracle here only; the library never imports
-it for Bessel evaluation.  Gamma is checked against exact factorials.
+it for Bessel evaluation.  A 140-digit decimal series is the oracle of
+the tightest Bessel gates.  Gamma is checked against exact factorials.
+
+Run as a script (with src/ on the path), the file prints the kernel key
+and both digests for this machine: [simd key, other digest, series digest].
 """
 
+import functools
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -115,33 +121,137 @@ def test_a_cut_expansion_fails_the_half_integer_check():
         assert _finite_error(lambda n, z: bessel_module._asymptotic_j(n, z, short), nu) > 1e-13
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_j(nu: Fraction, z: float) -> float:
+    """J_nu(z) for an integer or half-integer nu, in decimal at 140 digits.
+
+    From the exact binary z and the exact nu: the series
+    sum_m (-z^2/4)^m / (m! (nu+1)_m), whose terms peak near 1e84 at z = 200
+    and so keep more than 50 digits, stops past its largest term once a
+    term is below 1e-40 of the sum; then (z/2)^nu / Gamma(nu + 1), with
+    Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!), is applied in decimal too.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 140
+        x, n = Decimal(z), Decimal(nu.numerator) / nu.denominator
+        ratio = -(x * x) / 4
+        term = total = Decimal(1)
+        m = 0
+        while m * (n + m) <= -ratio or abs(term) > abs(total) * Decimal("1e-40"):
+            m += 1
+            term *= ratio / (m * (n + m))
+            total += term
+        if nu.denominator == 1:
+            gamma = Decimal(math.factorial(int(nu)))
+        else:
+            k = int(nu + Fraction(1, 2))
+            gamma = SQRT_PI * math.factorial(2 * k) / (4**k * math.factorial(k))
+        return float((x / 2) ** n / gamma * total)
+
+
+ORACLE_ORDERS = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(15, 2)]
+# (0, 200], densest below 12, where the series hands over to the expansion
+ABSOLUTE_Z = np.concatenate([np.linspace(0.0, 12.0, 241)[1:], np.linspace(12.0, 200.0, 48)[1:]])
+RELATIVE_Z = np.geomspace(1e-8, 2.0, 50)
+
+
+def _oracle(nu, z):
+    return np.array([_oracle_j(nu, float(v)) for v in z])
+
+
+def _absolute_error(evaluate, nu, z):
+    """max |J - oracle| / max(1, |oracle|) over z."""
+    want = _oracle(nu, z)
+    return float(np.max(np.abs(evaluate(float(nu), z) - want) / np.maximum(1.0, np.abs(want))))
+
+
+def _relative_error(evaluate, nu, z):
+    want = _oracle(nu, z)
+    return float(np.max(np.abs(evaluate(float(nu), z) / want - 1.0)))
+
+
+def test_decimal_oracle_reproduces_the_closed_forms():
+    # J_{1/2} = sqrt(2/(pi z)) sin z and J_{-1/2} = sqrt(2/(pi z)) cos z in
+    # floats, a few ulp from the truth, against the oracle's decimal series
+    for z in (1e-6, 0.375, 7.0, 131.5, 199.9):
+        amp = math.sqrt(2.0 / (math.pi * z))
+        for nu, form in ((Fraction(1, 2), amp * math.sin(z)), (Fraction(-1, 2), amp * math.cos(z))):
+            assert abs(_oracle_j(nu, z) - form) <= 2e-16 * max(1.0, amp)
+
+
+@pytest.mark.parametrize("nu", ORACLE_ORDERS, ids=str)
+def test_half_integer_orders_match_the_decimal_oracle(nu):
+    # absolute (scaled by |J| where that exceeds 1) on (0, 200], and
+    # relative on [1e-8, 2], where the expansion would lose digits
+    assert _absolute_error(bessel_j, nu, ABSOLUTE_Z) <= 1e-14
+    assert _relative_error(bessel_j, nu, RELATIVE_Z) <= 1e-14
+
+
+@pytest.mark.parametrize("nu", ORACLE_ORDERS, ids=str)
+def test_the_series_fails_the_oracle_gate_below_12(nu):
+    # cancellation in the alternating series costs it digits on (8, 12],
+    # which is why the half-integer orders leave it there
+    z = ABSOLUTE_Z[(ABSOLUTE_Z > 8.0) & (ABSOLUTE_Z <= 12.0)]
+    assert _absolute_error(bessel_module._series_j, nu, z) > 1e-14
+
+
+def test_the_expansion_fails_the_relative_gate_near_zero():
+    # the terminating expansion of 3/2 cancels toward z = 0, which is why
+    # the series keeps z < 2
+    z = RELATIVE_Z[(RELATIVE_Z >= 1e-4) & (RELATIVE_Z <= 0.1)]
+    assert _relative_error(lambda nu, z: bessel_module._asymptotic_j(nu, z, 2), Fraction(3, 2), z) > 1e-14
+
+
+@pytest.mark.parametrize("nu", [*ORACLE_ORDERS, Fraction(41, 2), 0, Fraction(1, 4), Fraction(7, 3), 10], ids=str)
+def test_a_sweep_across_the_crossovers_warns_of_nothing(nu):
+    # each regime boundary, its two neighbours, 0 and the smallest
+    # subnormal, as one array and one scalar at a time (one regime each)
+    nuf = float(nu)
+    edges = {2.0, 12.0, *bessel_module._crossovers(nuf, bessel_module._finite_terms(nuf))}
+    z = [0.0, 5e-324] + [w for e in edges if e <= 200.0 for w in (math.nextafter(e, 0.0), e, math.nextafter(e, 1e3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [bessel_j(nu, np.array(z)), [bessel_j(nu, v) for v in z], reduced_bessel(nu, np.array(z))]
+    assert not np.isnan(values).any()
+
+
+def test_bessel_keeps_the_shape_of_a_2d_argument():
+    # one regime for the whole array, and several: each as the flat array
+    for nu in (0.5, 7.5, 0.0):
+        for z in ([[0.5, 1.0], [1.5, 0.25]], [[3.0, 150.0], [60.0, 8.0]], [[15.0, 20.0], [13.0, 16.0]], [[0.1, 20.0], [100.0, 5.0]]):
+            z = np.array(z)
+            got = bessel_j(nu, z)
+            assert got.shape == (2, 2)
+            assert np.array_equal(got.ravel(), bessel_j(nu, z.ravel()))
+
+
 # numpy picks a SIMD kernel per float64 ufunc at run time, and its exp,
-# log, log1p and power kernels differ in the last bits, so each digest is
-# recorded per tuple of the kernels numpy dispatches for those four (numpy
-# 2.4, x86-64): all "X86_V4" on AVX-512, and the AVX2 tuple that
+# log, log1p, power and tan kernels differ in the last bits, so each digest
+# is recorded per tuple of the kernels numpy dispatches for those five
+# (numpy 2.4, x86-64): all "X86_V4" on AVX-512, and the AVX2 tuple that
 # NPY_DISABLE_CPU_FEATURES = AVX2_ONLY selects there
-_UFUNC_SIGNATURES = {"exp": "dd", "log": "dd", "log1p": "dd", "power": "ddd"}
-_AVX512 = ("X86_V4", "X86_V4", "X86_V4", "X86_V4")
-_AVX2 = ("X86_V3", "X86_V3", "baseline(X86_V2)", "baseline(X86_V2)")
+_UFUNC_SIGNATURES = {"exp": "dd", "log": "dd", "log1p": "dd", "power": "ddd", "tan": "dd"}
+_AVX512 = ("X86_V4", "X86_V4", "X86_V4", "X86_V4", "X86_V4")
+_AVX2 = ("X86_V3", "X86_V3", "baseline(X86_V2)", "baseline(X86_V2)", "baseline(X86_V2)")
 AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"
 OTHER_ORDERS_DIGESTS = {
     _AVX512: "7903972c52f0395fa05140f70b5bb0998cce4231",
     _AVX2: "b63dfde0c9038145dd9de203631ebdb2ba5eb82c",
 }
 SERIES_STOP_DIGESTS = {
-    _AVX512: "5d7b7d61dfb7d27a4f833f13280dc5c4ca705f19",
-    _AVX2: "383fcac052e5aeabe0fa9350911ae7200aa52f76",
+    _AVX512: "b37b2229f7d92d301477500c106654b2561a327c",
+    _AVX2: "9912020459f9eb1a7841bc858b212152fd517e95",
 }
 
 
 def _simd_key():
-    info = opt_func_info(func_name="^(exp|log|log1p|power)$", signature="float64")
+    info = opt_func_info(func_name="^(exp|log|log1p|power|tan)$", signature="float64")
     return tuple(info[name][sig]["current"] for name, sig in _UFUNC_SIGNATURES.items())
 
 
 def _recorded(digests, key):
     if key not in digests:
-        pytest.fail(f"no digest recorded for numpy's float64 exp, log, log1p and power kernels {key}")
+        pytest.fail(f"no digest recorded for numpy's float64 exp, log, log1p, power and tan kernels {key}")
     return digests[key]
 
 
@@ -180,24 +290,23 @@ def test_other_orders_keep_their_routes_bit_for_bit():
 def test_series_stop_is_pinned_below_the_cutoff():
     # the digest of bessel_j and reduced_bessel while the series' stop test
     # still formed max|term| and max|total| on every term, re-taken when
-    # Gamma became math.gamma, which moved outputs by at most 1.9e-15 of
-    # their size: kernel arguments of a radius-8 rule reaching about 3, 8
-    # and just under 12, an unsorted array with its largest entry in the
-    # middle, exact zeros and a single point
+    # Gamma became math.gamma (outputs moved by at most 1.9e-15 of their
+    # size) and when half-integer orders left the series at z_h (bessel_j
+    # moved by at most 5.4e-13 and its worst error against the decimal
+    # oracle fell to 5.8e-16; reduced_bessel did not move): kernel
+    # arguments of a radius-8 rule reaching about 3, 8 and just under 12,
+    # an unsorted array with its largest entry in the middle, exact zeros
+    # and a single point
     assert _series_stop_digest() == _recorded(SERIES_STOP_DIGESTS, _simd_key())
 
 
 def test_both_digests_hold_on_the_avx2_kernels():
     # recompute both digests in a process that numpy runs on its AVX2
     # kernels, so that every run checks the second recorded entry too
-    code = (
-        "import json, test_bessel as t; "
-        "print(json.dumps([t._simd_key(), t._other_orders_digest(), t._series_stop_digest()]))"
-    )
     src = str(Path(bessel_module.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX2_ONLY, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     key, other, series = json.loads(proc.stdout)
     assert other == _recorded(OTHER_ORDERS_DIGESTS, tuple(key))
@@ -208,14 +317,14 @@ def test_bessel_half_order_closed_forms():
     z = np.linspace(0.01, 150.0, 700)
     sin_form = np.sqrt(2.0 / (math.pi * z)) * np.sin(z)
     cos_form = np.sqrt(2.0 / (math.pi * z)) * np.cos(z)
-    assert float(np.max(np.abs(bessel_j(0.5, z) - sin_form))) < 1e-10
-    assert float(np.max(np.abs(bessel_j(-0.5, z) - cos_form))) < 1e-10
+    assert float(np.max(np.abs(bessel_j(0.5, z) - sin_form))) < 1e-14
+    assert float(np.max(np.abs(bessel_j(-0.5, z) - cos_form))) < 1e-14
 
 
 def test_bessel_three_halves_closed_form():
     z = np.linspace(0.1, 100.0, 500)
     form = np.sqrt(2.0 / (math.pi * z)) * (np.sin(z) / z - np.cos(z))
-    assert float(np.max(np.abs(bessel_j(1.5, z) - form))) < 1e-10
+    assert float(np.max(np.abs(bessel_j(1.5, z) - form))) < 1e-14
 
 
 def test_bessel_derivative_identity():
@@ -353,3 +462,9 @@ def test_c_k_mu_matches_gamma_ratio():
     exact = float(c_k_mu(mu, k))
     ratio = -c_mu(mu) / c_mu(mu.shifted(k))
     assert exact == pytest.approx(ratio, rel=1e-12)
+
+
+if __name__ == "__main__":
+    # the values the digest pins record, on the kernels numpy picks here;
+    # NPY_DISABLE_CPU_FEATURES = AVX2_ONLY gives the AVX2 entry
+    print(json.dumps([_simd_key(), _other_orders_digest(), _series_stop_digest()]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hankelc import SUITES, run_all, run_suite
+from hankelc import SUITES, run_all, run_suite, verify
 from hankelc.errors import DomainError
 
 
@@ -36,6 +36,16 @@ def test_negative_controls_exceed_threshold():
         assert chk["passed"]
         assert chk["value"] > chk["tolerance"]
     assert result["passed"]
+
+
+def test_the_half_order_series_route_catches_a_shifted_argument(monkeypatch):
+    # bessel_j read at z (1 + 1e-9) is off by about 1e-9 on [2, 12], which
+    # the series behind reduced_bessel must see; the closed forms see it too
+    shifted = verify.bessel_j
+    monkeypatch.setattr(verify, "bessel_j", lambda nu, z: shifted(nu, z * (1.0 + 1e-9)))
+    checks = {c["name"]: c for c in verify._chk_half_order()}
+    assert checks["bessel_half_order_series"]["value"] > 1e-10
+    assert not checks["bessel_half_order_series"]["passed"]
 
 
 def test_run_all_threaded():
