@@ -3,9 +3,9 @@
 The kernel of L = sum (-1)^|alpha| a_alpha S^alpha inside the power-times-
 polynomial family is found exactly by linear algebra over Fractions.  An
 independent weak check pairs each candidate f against transformed test
-functions: on the spectral side L acts as multiplication by P(y^2), so
-(f, transform(P[x^2] phi)) must vanish for every test phi when f is in
-the kernel.
+functions phi: on the spectral side L acts as multiplication by P(y^2),
+so (f, transform(P[x^2] phi)) vanishes for a kernel element.  The check
+works per axis and in blocks of grid rows, never on the whole node grid.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import MuVector
-from .errors import DimensionMismatch, DomainError, HypothesisFailed, NumericError
+from .errors import DecayRequired, DimensionMismatch, DomainError, HypothesisFailed, NumericError
 from .multiindex import mi_graded_enumerate
 from .quadrature import GridSpec, QuadratureRule
 from .symbolic import (
@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# bytes of a normaliser block over the family and one candidate.  Its rows
+# must not depend on the candidate count, or a solve would round unlike each
+# candidate's own check.  256 KiB-1 MiB ran alike, 2-4 MiB slower (2 MiB L2).
+_BLOCK_BYTES = 1 << 20
 
 
 def default_weak_family(mu, count: int = 10, seed: int = 7) -> tuple:
@@ -100,41 +104,26 @@ def weak_spectral_check(
     """Largest normalized residual |(f, transform(P[x^2] phi))| over the
     test family.
 
-    Each residual is scaled by the pairing of |f| with |transform|, so
-    the result is insensitive to the magnitudes of f and phi.  Values
-    near roundoff certify that multiplication by P annihilates the
-    transform of f in the weak sense; order-one values refute it.
+    Each residual is scaled by the pairing of |f| with |transform|, so it
+    is insensitive to the magnitudes of f and phi.  Values near roundoff
+    certify that P annihilates the transform of f weakly; order-one values
+    refute it.  A test function of decay 0 raises DecayRequired.
     """
     mu = f.mu if mu is None else mu
     return _weak_residuals([f], P, mu, family, rule)[0]
 
 
-def _expand(coeffs, mats, out=None) -> np.ndarray:
-    """sum_k coeffs[k] prod_a mats[a][i_a, k_a] as a C-ordered matrix whose
-    rows run over the first n-1 axes; the last axis is one product into out.
-
-    BLAS takes a C-ordered right factor about 2x faster than the transposed
-    view.  For an inner dimension of 1 numpy's matmul leaves BLAS and is
-    about 3x slower than dot, which is the slower of the two otherwise.
-    """
-    head = _contract(coeffs, mats[:-1]).reshape(-1, coeffs.shape[-1])
-    product = np.dot if head.shape[1] == 1 else np.matmul
-    return product(head, np.ascontiguousarray(mats[-1].T), out=out)
-
-
 def _weak_residuals(basis, P, mu, family, rule) -> list:
-    """weak_spectral_check for every candidate in basis.
-
-    Every g = P[x^2] phi shares the order vector and the nodes, so the
-    axis images M_a = K_a V_a are formed once per decay, for the widest
-    coefficient shape, and each g is only its coefficient tensor C.  The
-    numerator sum w f Hg is then <Z, C> with Z = contract(w f, M_a^T)
-    per candidate, so the signed Hg is never formed.  The normaliser
-    sum |w f| |Hg| builds |Hg| into one buffer reused for every member.
-    A pairing that overflows raises NumericError rather than certifying f.
+    """weak_spectral_check for every candidate in basis, with no array of
+    the node grid's size.  Each g = P[x^2] phi is its coefficient tensor C
+    (phi's, shifted by each term of P) on axis images M_a = K_a V_a formed
+    once per decay.  The numerator sum w f Hg is <C, contract(C_f, G_a)>
+    with Gram matrices G_a = M_a^T (w V_a) of the candidate's factors.  The
+    normaliser sum |w f| |Hg| runs over blocks of grid rows, each function
+    being head @ right (its contraction over the first n-1 axes times its
+    last-axis factor).  A pairing that overflows raises NumericError.
     """
     mu = MuVector(mu)
-    n = mu.dim
     for f in basis:
         if tuple(f.mu) != tuple(mu):
             raise DomainError("order vector does not match the candidate's")
@@ -144,41 +133,52 @@ def _weak_residuals(basis, P, mu, family, rule) -> list:
         family = default_weak_family(mu)
     if rule is None:
         rule = _default_weak_rule()
-    grid = GridSpec([rule.nodes] * n)
+    grid = GridSpec([rule.nodes] * mu.dim)
     _check_arguments(rule.nodes, rule)
-    members = []
-    for phi in family:
-        if tuple(phi.mu) != tuple(mu) or phi.dim != n:
+    groups, tensors = {}, []
+    for j, phi in enumerate(family):
+        if tuple(phi.mu) != tuple(mu) or phi.dim != mu.dim:
             raise DomainError("family member does not match the order vector")
-        members.append((phi.decay, _coefficient_tensor(phi.poly * P)))
-    shape = np.max([(1,) * n] + [c.shape for _, c in members], axis=0)
-    images = {
-        decay: _axis_images(mu, _axis_factors(mu, decay, grid.axes, shape), grid, rule)
-        for decay in dict.fromkeys(decay for decay, _ in members)
-    }
-    # one block holds |Hg| and every |w f|: separate arrays of this size are
-    # returned to the system when freed and page-faulted in on the next call
-    block = np.empty((1 + len(basis), grid.size // rule.size, rule.size))
-    weights = rule.weights[:, None]
-    pairings = []
-    for f, wf in zip(basis, block[1:]):
-        coeffs, factors = _family_factors(f, grid.axes)
-        core = _expand(coeffs, [weights * v for v in factors], out=wf).reshape(grid.shape)
-        pairings.append({d: _contract(core, [m.T for m in mats]) for d, mats in images.items()})
-        np.abs(wf, out=wf)
-    worst = [0.0] * len(basis)
-    hg = block[0]
-    for decay, coeffs in members:
-        part = tuple(map(slice, coeffs.shape))
-        _expand(coeffs, [m[:, :d] for m, d in zip(images[decay], coeffs.shape)], out=hg)
-        habs = np.abs(hg, out=hg).ravel()
-        for i, (z, wa) in enumerate(zip(pairings, block[1:])):
-            numer = abs(float(np.vdot(z[decay][part], coeffs)))
-            denom = float(np.dot(wa.ravel(), habs))
-            if not (np.isfinite(numer) and np.isfinite(denom)):
-                raise NumericError("weak pairing is not finite")
-            worst[i] = max(worst[i], numer / max(denom, _TINY))
-    return worst
+        if phi.decay == 0:
+            raise DecayRequired("a test function of decay 0 transforms to a distribution")
+        groups.setdefault(phi.decay, []).append(j)
+        tensors.append(_coefficient_tensor(phi.poly))
+    if not tensors:
+        raise DomainError("the weak check needs at least one test function")
+    op = _coefficient_tensor(P)
+    stack = np.zeros((len(tensors), *np.max([c.shape for c in tensors], axis=0) + op.shape - 1))
+    for g, c in zip(stack, tensors):
+        for k in zip(*np.nonzero(op)):
+            g[tuple(map(slice, k, np.add(k, c.shape)))] += op[k] * c
+    images = {d: _axis_images(mu, _axis_factors(mu, d, grid.axes, stack.shape[1:]), grid, rule)
+              for d in groups}
+    cands = [_family_factors(f, grid.axes) for f in basis]
+    m, rows, last = len(tensors), rule.size ** (mu.dim - 1), stack.shape[-1]
+    head = np.zeros((m + len(basis), rows, max([last] + [c.shape[-1] for c, _ in cands])))
+    right = np.zeros((len(head), head.shape[-1], rule.size))
+    for decay, idx in groups.items():
+        top = _contract(np.moveaxis(stack[idx], 0, -1), images[decay][:-1])
+        head[idx, :, :last] = np.moveaxis(top, -1, 0).reshape(len(idx), rows, last)
+        right[idx, :last] = images[decay][-1].T
+    numers = np.zeros((len(basis), m))
+    for i, (coeffs, factors) in enumerate(cands):
+        wv = [rule.weights[:, None] * v for v in factors]
+        head[m + i, :, : coeffs.shape[-1]] = _contract(coeffs, wv[:-1]).reshape(rows, -1)
+        right[m + i, : coeffs.shape[-1]] = wv[-1].T
+        for decay, idx in groups.items():
+            z = _contract(coeffs, [mat.T @ v for mat, v in zip(images[decay], wv)])
+            numers[i, idx] = stack[idx].reshape(len(idx), -1) @ z.ravel()
+    block = min(rows, max(1, _BLOCK_BYTES // (8 * rule.size * (m + 1))))
+    buf = np.empty((len(head), block, rule.size))
+    denoms = np.zeros((len(basis), m))
+    for start in range(0, rows, block):
+        out = np.matmul(head[:, start : start + block], right, out=buf[:, : min(block, rows - start)])
+        hg = np.abs(out, out=out)[:m].reshape(m, -1)
+        for row, wf in zip(denoms, out[m:]):
+            row += hg @ wf.ravel()
+    if not (np.isfinite(numers).all() and np.isfinite(denoms).all()):
+        raise NumericError("weak pairing is not finite")
+    return [float(r) for r in (np.abs(numers) / np.maximum(denoms, _TINY)).max(axis=1)]
 
 
 @dataclasses.dataclass(slots=True, eq=False)

@@ -1,5 +1,6 @@
 """Kernel solves with exact certificates and the independent weak check."""
 
+import builtins
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from hankelc import (
+    DecayRequired,
+    DomainError,
     EvenPolynomial,
     GridSpec,
     HypothesisFailed,
@@ -307,9 +310,10 @@ def test_weak_pairing_reference_rejects_swapped_axis_images(monkeypatch):
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_weak_check_memory_stays_a_few_grid_arrays(count):
-    # the peak is |Hg| and the candidates' |w f|, count + 1 arrays of the
-    # 384^2 grid, plus small terms; holding all 10 member transforms at
-    # once would read count + 10
+    # the normaliser runs over blocks of grid rows, so the peak is one block
+    # buffer (about one array of the 384^2 grid) plus small terms, whatever
+    # the candidate count; a grid-sized |w f| per candidate would read
+    # count + 1 arrays
     P = _operator(2, {(1, 0): 1, (0, 1): 1})
     mu = MuVector(["1/2", "1/2"])
     basis, _ = liouville_solve(P, mu, 2, skip_weak=True)
@@ -323,4 +327,59 @@ def test_weak_check_memory_stays_a_few_grid_arrays(count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (count + 2.5) * grid_bytes, peak / grid_bytes
+    assert peak <= 1.75 * grid_bytes, peak / grid_bytes
+
+
+def _half_blocks(monkeypatch, case):
+    """The case with the normaliser's block set to rows // 2 + 1 grid rows,
+    so a full block is followed by a partial one holding half the grid: a
+    partial block of the last few rows lies in the Gaussian tail, and
+    dropping it would move no residual by a visible amount."""
+    P, mu, candidates, kernel_count, family, rule = _pairing_case(*case)
+    rows = rule.size ** (mu.dim - 1)
+    block = rows // 2 + 1
+    assert rows % block
+    monkeypatch.setattr(liouville, "_BLOCK_BYTES", block * 8 * rule.size * (len(family) + 1))
+    return P, mu, candidates, kernel_count, family, rule
+
+
+# the default 2-D rule and the 3-D small rule
+_BLOCK_CASES = [_PAIRING_CASES[4], _PAIRING_CASES[7]]
+
+
+@pytest.mark.parametrize("case", _BLOCK_CASES, ids=["2d", "3d"])
+def test_weak_pairing_with_a_partial_last_block(monkeypatch, case):
+    P, mu, candidates, kernel_count, family, rule = _half_blocks(monkeypatch, case)
+    got = liouville._weak_residuals(candidates, P, mu, family, rule)
+    want = _reference_weak_residuals(candidates, P, mu, family, rule)
+    assert _agrees(got, want, kernel_count), (got, want)
+
+
+@pytest.mark.parametrize("case", _BLOCK_CASES, ids=["2d", "3d"])
+def test_weak_pairing_reference_rejects_a_dropped_last_block(monkeypatch, case):
+    # negative control: the block loop stops before the partial block
+    P, mu, candidates, kernel_count, family, rule = _half_blocks(monkeypatch, case)
+    want = _reference_weak_residuals(candidates, P, mu, family, rule)
+    monkeypatch.setattr(
+        liouville, "range", lambda a, b, c: builtins.range(a, b - b % c, c), raising=False
+    )
+    got = liouville._weak_residuals(candidates, P, mu, family, rule)
+    assert not _agrees(got, want, kernel_count)
+
+
+def test_weak_check_refuses_a_test_function_of_decay_0():
+    # its transform is a distribution supported at the origin, so the
+    # truncated quadrature would return a number that means nothing
+    mu = MuVector(["1/2"])
+    f = SymbolicHFunction(mu, EvenPolynomial.constant(1, 1), 0)
+    family = (SymbolicHFunction(mu, EvenPolynomial.monomial((1,)), 0),)
+    with pytest.raises(DecayRequired):
+        weak_spectral_check(f, _operator(1, {(1,): 1}), mu, family)
+
+
+def test_weak_check_refuses_an_empty_family():
+    # with no test function the largest residual would read 0 and certify
+    # any candidate
+    f = SymbolicHFunction(["1/2"], EvenPolynomial.monomial((1,)), 0)
+    with pytest.raises(DomainError):
+        weak_spectral_check(f, _operator(1, {(1,): 1}), family=())
