@@ -1,26 +1,27 @@
 """Gamma and Bessel-J evaluation plus the delta normalization constants.
 
-Bessel functions of the first kind are evaluated by four methods glued
-together by order and argument size:
+Bessel functions of the first kind are evaluated in three regimes glued
+together by order and argument size (_crossovers holds every edge):
 
 * ascending power series for z <= 12 (for a half-integer order, below
-  the crossover z_h of the last item), where alternation costs at most a
-  couple of digits;
+  the crossover z_h below), where alternation costs at most a couple of
+  digits;
 * backward (Miller-type) recurrence normalized with the even-order sum
   identity (1/2 z)^nu = sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(z) in the
   middle range, where neither series converges cleanly in doubles;
-* the large-argument cosine expansion once it can reach ~1e-13 before
-  its terms start growing;
-* for a half-integer order, the same expansion summed in full: its
-  coefficients carry the factor 4 nu^2 - (2j-1)^2, so it stops after
-  |nu| + 1/2 terms and is exact.  It serves every z >= z_h = max(2, the
-  smallest z at which no term exceeds _NEAR_PEAK) when z_h <= 12, and
-  the series everything below; otherwise every z > 12 at which no term
-  exceeds _FINITE_PEAK, with Miller's recurrence between.  Cancellation
-  costs at most about (|nu| + 1/2) * peak * eps relative to
-  sqrt(2 / (pi z)): within 4e-16 of a 140-digit oracle on 3,400 points of
-  (0, 200] for the orders -1/2 .. 7/2 and 15/2, and below 6e-14 against
-  scipy's jv for orders up to 83/2 above 12.
+* Hankel's large-argument cosine expansion, one routine for every order.
+  Its coefficients carry the factor 4 nu^2 - (2j-1)^2, so for a
+  half-integer order it stops after |nu| + 1/2 terms and is exact.  It
+  serves every z >= z_h = max(2, the smallest z at which no term exceeds
+  _NEAR_PEAK) when z_h <= 12, and the series everything below; otherwise
+  every z > 12 at which no term exceeds _FINITE_PEAK, with Miller's
+  recurrence between.  Cancellation costs at most about
+  (|nu| + 1/2) * peak * eps relative to sqrt(2 / (pi z)): within 4e-16 of
+  a 140-digit oracle on 3,400 points of (0, 200] for the orders
+  -1/2 .. 7/2 and 15/2, and below 6e-14 against scipy's jv for orders up
+  to 83/2 above 12.  Any other order sums it to its smallest term at the
+  least z from A(nu) = max(30, 1.9 nu^2 + 16) on: within 6e-17 of the
+  oracle on [30, 200] for nu = 0, 1 and 2.
 
 All entry points accept scalars or numpy arrays for z.
 """
@@ -186,40 +187,6 @@ def _series_j(nu: float, z: np.ndarray) -> np.ndarray:
     return pref * _series_sum(nu, z)
 
 
-def _asymptotic_j(nu: float, z: np.ndarray, terms: int = 0) -> np.ndarray:
-    """Large-argument cosine expansion, truncated at the smallest term.
-
-    terms > 0 sums exactly that many terms with no stop: a half-integer
-    order's expansion terminates after _finite_terms(nu) of them, and a
-    stop where the terms grow would cut that exact sum short.
-    """
-    if terms:
-        return _finite_sum(nu, z, terms)
-    mu4 = 4.0 * nu * nu
-    inv8z = 1.0 / (8.0 * z)
-    p, q, term = 1.0, 0.0, 1.0
-    prev = math.inf
-    for j in range(1, 40):
-        term *= mu4 - (2 * j - 1) ** 2
-        term *= inv8z
-        term /= j
-        mag = float(np.max(np.abs(term)))
-        if mag >= prev:
-            break
-        sign = -1.0 if (j // 2) % 2 else 1.0
-        if j % 2:
-            q += sign * term
-        else:
-            p += sign * term
-        if mag <= 1e-17:
-            break
-        prev = mag
-    omega = z - (0.5 * nu + 0.25) * math.pi
-    wave = p * np.cos(omega)
-    wave -= q * np.sin(omega)
-    return np.sqrt(2.0 / (math.pi * z)) * wave
-
-
 def _horner(coeffs: list, y: np.ndarray, out: np.ndarray):
     """sum_k coeffs[k] y^k by Horner's rule in out; one coefficient is returned as it is."""
     if len(coeffs) == 1:
@@ -232,30 +199,35 @@ def _horner(coeffs: list, y: np.ndarray, out: np.ndarray):
     return out
 
 
-def _finite_sum(nu: float, z: np.ndarray, terms: int) -> np.ndarray:
-    """The first `terms` terms of a half-integer order's cosine expansion,
-    in at most four arrays.
+def _asymptotic_j(nu: float, z: np.ndarray, terms: int = 0) -> np.ndarray:
+    """Hankel's large-argument cosine expansion of J_nu(z).
 
-    J = sqrt(2/pi) / sqrt(z) (P cos w - Q sin w) with w = z - n pi/2,
-    n = nu + 1/2, P = sum_k (-1)^k a_2k / z^2k, Q = sum_k (-1)^k a_2k+1 /
-    z^(2k+1) and a_j = prod_{i<=j} (4 nu^2 - (2i-1)^2) / (8i).  As n is an
-    integer, cos w and sin w are +-cos z and +-sin z, with no rounded
-    multiple of pi.  Both come from one vectorized tan, where numpy's sin
-    and cos are two slow calls: with t = tan(z/2) and h = 2 / (1 + t^2),
-    sin z = t h and cos z = h - 1.  P and Q go by Horner's rule in 1/z^2,
-    and neither is formed while it is the constant 1 or a single term.
+    J = sqrt(2/(pi z)) (P cos w - Q sin w), w = z - (nu/2 + 1/4) pi, with
+    P = sum_k (-1)^k a_2k / z^2k, Q = sum_k (-1)^k a_2k+1 / z^(2k+1) and
+    a_j = prod_{i<=j} (4 nu^2 - (2i-1)^2) / (8i).  terms > 0 sums exactly
+    that many terms (a half-integer order's expansion ends after
+    _finite_terms(nu)); terms = 0 counts them once, at the least z: up to
+    the first term that does not shrink, or through the first <= 1e-17.
+
+    cos z and sin z come from one vectorized tan (numpy's sin and cos are
+    two slow calls): with t = tan(z/2) and h = 2 / (1 + t^2), sin z = t h
+    and cos z = h - 1.  A half-integer order's phase is n = nu + 1/2
+    quarter turns, so cos w and sin w are +-cos z and +-sin z; any other
+    order turns them by the scalar cos and sin of its phase.  Neither way
+    rounds a multiple of pi.  P and Q go by Horner's rule in 1/z^2, and
+    neither is formed while it is the constant 1 or a single term.
     """
-    n = round(nu + 0.5)
     mu4 = 4.0 * nu * nu
-    coeffs, a = [], 1.0
-    for j in range(terms):
+    inv = 0.0 if terms else 1.0 / float(np.min(z))
+    coeffs, a, prev = [], 1.0, math.inf
+    for j in range(terms or 40):
         coeffs.append(-a if (j // 2) % 2 else a)
         a *= (mu4 - (2 * j + 1) ** 2) / (8.0 * (j + 1))
-    # P cos w - Q sin w = sign (P f + Q' g): f, g = cos z, sin z and Q' = -Q
-    # for even n, f, g = sin z, cos z and Q' = Q for odd n
-    sign = -1.0 if n % 4 >= 2 else 1.0
-    if n % 2 == 0:
-        coeffs[1::2] = [-c for c in coeffs[1::2]]
+        if not terms:
+            mag = abs(a) * inv ** (j + 1)
+            if mag >= prev or prev <= 1e-17:
+                break
+            prev = mag
     t = np.multiply(z, 0.5)
     np.tan(t, out=t)
     h = np.multiply(t, t)
@@ -263,10 +235,25 @@ def _finite_sum(nu: float, z: np.ndarray, terms: int) -> np.ndarray:
     np.divide(2.0, h, out=h)
     t *= h
     h -= 1.0
-    f, g = (h, t) if n % 2 == 0 else (t, h)
-    if terms > 1:
+    # P cos w - Q sin w = sign (P f + Q' g): for an integer n, f, g = cos z,
+    # sin z and Q' = -Q (n even) or f, g = sin z, cos z and Q' = Q (n odd)
+    n = nu + 0.5
+    if n.is_integer():
+        n = int(n)
+        sign = -1.0 if n % 4 >= 2 else 1.0
+        f, g = (h, t) if n % 2 == 0 else (t, h)
+        if n % 2 == 0:
+            coeffs[1::2] = [-c for c in coeffs[1::2]]
+    else:
+        # f, g = cos w, -sin w and Q' = Q, with cos z and sin z turned by phi
+        sign, phi = 1.0, (0.5 * nu + 0.25) * math.pi
+        f = np.multiply(h, math.cos(phi))
+        f += math.sin(phi) * t
+        g = np.multiply(h, math.sin(phi), out=h)
+        g -= math.cos(phi) * t
+    if len(coeffs) > 1:
         y = acc = None
-        if terms > 2:
+        if len(coeffs) > 2:
             y = np.multiply(z, z)
             np.divide(1.0, y, out=y)
             acc = np.empty_like(z)
@@ -320,10 +307,6 @@ def _miller_j(nu: float, z: np.ndarray) -> np.ndarray:
     return f_nu * target / norm
 
 
-def _asym_cutoff(nu: float) -> float:
-    return max(30.0, 1.9 * nu * nu + 16.0)
-
-
 def _finite_terms(nu: float) -> int:
     """|nu| + 1/2 for a half-integer order (2 nu odd), else 0.
 
@@ -356,13 +339,14 @@ def _crossovers(nu: float, terms: int) -> tuple:
     """(s, a): the series serves z < s, the cosine expansion z >= a, and
     Miller's recurrence the z in between.
 
-    The series keeps z = 12 itself.  A half-integer order (terms > 0)
+    The series keeps z = 12 itself.  Any other order's expansion starts at
+    A(nu) = max(30, 1.9 nu^2 + 16).  A half-integer order (terms > 0)
     whose expansion stays below _NEAR_PEAK from z_h = max(2, ...) <= 12 on
     goes from the series straight to the expansion at z_h.
     """
     top = math.nextafter(_SERIES_CUTOFF, math.inf)
     if not terms:
-        return top, _asym_cutoff(nu)
+        return top, max(30.0, 1.9 * nu * nu + 16.0)
     near = max(2.0, _finite_cutoff(nu, terms, _NEAR_PEAK))
     if near <= _SERIES_CUTOFF:
         return near, near
@@ -400,24 +384,20 @@ def bessel_j(nu, z):
     if arr.size == 0:
         return arr
     terms = _finite_terms(nuf)
-    s, a = _crossovers(nuf, terms)
-    # one regime for the whole array needs no masks and no gather/scatter
-    if hi < s:
-        out = _series_j(nuf, arr)
-    elif lo >= a:
-        out = _asymptotic_j(nuf, arr, terms)
-    elif s <= lo and hi < a:
-        out = _miller_j(nuf, arr)
-    else:
-        out = np.empty_like(arr)
-        small, large = arr < s, arr >= a
-        mid = ~(small | large)
-        if small.any():
-            out[small] = _series_j(nuf, arr[small])
-        if large.any():
-            out[large] = _asymptotic_j(nuf, arr[large], terms)
-        if mid.any():
-            out[mid] = _miller_j(nuf, arr[mid])
+    edges = (0.0, *_crossovers(nuf, terms), math.inf)
+    regimes = (_series_j, _miller_j, lambda n, x: _asymptotic_j(n, x, terms))
+    out = np.empty_like(arr)
+    for method, left, right in zip(regimes, edges, edges[1:]):
+        if left <= lo and hi < right:
+            # one regime for the whole array needs no masks and no gather/scatter
+            out = method(nuf, arr)
+        elif left < right and left <= hi and lo < right:
+            # compare only against the edges that cut the array
+            inside = arr >= left if lo < left else arr < right
+            if lo < left and right <= hi:
+                inside &= arr < right
+            if inside.any():
+                out[inside] = method(nuf, arr[inside])
     return float(out[0]) if scalar else out
 
 

@@ -44,7 +44,7 @@ from .multiindex import MultiIndex
 from .quadrature import GridSpec, build_quadrature
 from .seminorms import seminorm_gamma, seminorm_lambda, seminorm_rho
 from .symbolic import EvenPolynomial, EvenRational, OperatorPoly, SymbolicHFunction
-from .transform import default_rule_for, hankel_nd
+from .transform import _member_rule, default_rule_for, hankel_nd
 from .verify import SUITES, run_all
 
 _TOP_KEYS = {"mu", "function", "operator", "window", "multiplier"}
@@ -177,13 +177,13 @@ def _parse_grid(text: str, dim: int) -> GridSpec:
     return ctor(lo, hi, count, dim=dim)
 
 
-def _parse_quad(text, decay):
+def _parse_quad(text, f: SymbolicHFunction):
     if text is None:
-        return default_rule_for(decay)
+        return _member_rule(f)
     parts = text.split(":")
     try:
         if len(parts) == 2:
-            return default_rule_for(decay, int(parts[0]), int(parts[1]))
+            return default_rule_for(float(f.decay), int(parts[0]), int(parts[1]))
         if len(parts) == 3:
             return build_quadrature(float(parts[2]), int(parts[0]), int(parts[1]))
     except ValueError as exc:
@@ -224,7 +224,7 @@ def cmd_transform(args) -> int:
     mu = _spec_mu(data)
     f = _spec_function(data, mu)
     window = _spec_window(data)
-    rule = _parse_quad(args.quad, float(f.decay))
+    rule = _parse_quad(args.quad, f)
     grid = _parse_grid(args.grid, mu.dim)
     if window is None:
         target = f
@@ -258,6 +258,7 @@ def cmd_verify(args) -> int:
     if bad:
         raise SpecError(f"unknown suites: {bad}; choose from {list(SUITES)}")
     results = run_all(names, args.negative_controls, args.threads)
+    lines = sys.stderr if args.json else sys.stdout
     all_ok = True
     for suite in results:
         for chk in suite["checks"]:
@@ -265,10 +266,11 @@ def cmd_verify(args) -> int:
             tag = " (negative control)" if chk["expected_fail"] else ""
             print(
                 f"[{status}] {suite['suite']}/{chk['name']}: "
-                f"value={chk['value']:.3e} tolerance={chk['tolerance']:.3e}{tag}"
+                f"value={chk['value']:.3e} tolerance={chk['tolerance']:.3e}{tag}",
+                file=lines,
             )
         all_ok &= suite["passed"]
-    print("verify: all checks passed" if all_ok else "verify: FAILURES above")
+    print("verify: all checks passed" if all_ok else "verify: FAILURES above", file=lines)
     if args.json:
         _emit(args, {"suites": results, "passed": all_ok})
     return 0 if all_ok else 1
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in check suites")
     p.add_argument("suites", nargs="*", metavar="suite", help=f"subset of {list(SUITES)}")
     p.add_argument("--negative-controls", action="store_true")
-    p.add_argument("--json", action="store_true", help="also emit a JSON report")
+    p.add_argument("--json", action="store_true", help="write a JSON report, the check lines to stderr")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

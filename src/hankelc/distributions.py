@@ -43,7 +43,7 @@ from .symbolic import (
     apply_Tk,
     check_hypothesis,
 )
-from .transform import _contract, _family_factors, default_rule_for
+from .transform import _contract, _family_factors, _member_rule
 
 __all__ = [
     "richardson_limit",
@@ -258,8 +258,8 @@ def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
     powers fall on the kernel, turning it into shifted reduced Bessel
     factors, and the origin limit is Richardson-extrapolated.  rhs pairs
     the closed-form transform c^mu_k t^(mu+2k+1/2) with phi directly.
-    Both use the default rule for phi's decay and contract phi's coefficient
-    tensor with per-axis moments, never sampling phi on the node grid.
+    Both use a rule that covers the pairing's powers of x and contract phi's
+    coefficient tensor with per-axis moments, never sampling phi on the node grid.
     A windowed phi has no closed-form transform and raises DomainError.
     """
     if not isinstance(phi, SymbolicHFunction):
@@ -270,10 +270,11 @@ def pair_delta_transform(k, mu, phi: SymbolicHFunction) -> dict:
         raise DimensionMismatch(f"index dimension {k.dim}, orders {mu.dim}")
     if tuple(phi.mu) != tuple(mu):
         raise DomainError("order vector does not match the function's")
-    rule = default_rule_for(float(phi.decay))
+    powers = [float(m) + 2 * ka + 0.5 for m, ka in zip(mu, k)]
+    rule = _member_rule(phi, powers)
     ck = float(c_k_mu(mu, k))
     coeffs, factors = _family_factors(phi, [rule.nodes] * mu.dim)
-    weights = [rule.weights * rule.nodes ** (float(m) + 2 * ka + 0.5) for m, ka in zip(mu, k)]
+    weights = [rule.weights * rule.nodes**p for p in powers]
 
     def moments(profiles):
         return [((w * g) @ v)[None, :] for w, g, v in zip(weights, profiles, factors)]

@@ -58,6 +58,20 @@ def default_rule_for(
     return build_quadrature(truncation_radius(float(decay)), points_per_panel, panels)
 
 
+def _member_rule(f: SymbolicHFunction, extra=None) -> QuadratureRule:
+    """The default rule, its radius widened past sqrt(m / 2c), where x^m e^(-c x^2)
+    peaks and after which it falls at least as fast as the Gaussian: m is the
+    largest per-axis power of x in the integrand, mu_a + 1/2 + 2 deg_a Q + extra[a]."""
+    c = float(f.decay)
+    if c <= 0.0:
+        raise DecayRequired("a positive decay rate is needed to truncate")
+    # deg_a Q + 1 entries per axis; forming the tensor refuses one beyond the cap
+    shape = _coefficient_tensor(f.poly).shape
+    extra = extra or [0.0] * f.dim
+    top = max(float(m) + 0.5 + 2 * (d - 1) + e for m, d, e in zip(f.mu, shape, extra))
+    return build_quadrature(truncation_radius(c) + math.sqrt(top / (2.0 * c)))
+
+
 def _family_factors(f: SymbolicHFunction, axes):
     """Split a family member into its coefficient tensor C and axis factors
     V (_axis_factors), so f = sum_k C[k] prod_a V[a][i_a, k_a] on axes."""

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hankelc
@@ -112,6 +113,30 @@ def test_decay_zero_member_under_a_window(tmp_path, capsys, kind, quad, code):
         assert json.loads(out)["values"][0] == pytest.approx(0.43724597, rel=1e-7)
 
 
+def _laguerre(n, alpha, t):
+    """L_n^alpha(t) by the three-term recurrence in the degree."""
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - t) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+def test_default_rule_covers_a_high_degree_member(tmp_path, capsys):
+    # x^(mu+1/2) s^40 e^(-x^2/2) peaks at x = 9, inside the bulk that a rule
+    # sized for e^(-x^2/2) alone cuts off: it printed -1.2961e58 at y = 4
+    # for -1.2624e58.  Weber: the transform of x^(mu+1/2) s^n e^(-c x^2) is
+    # y^(mu+1/2) n! / (2^(mu+1) c^(mu+n+1)) e^(-t) L_n^mu(t), t = y^2 / 4c
+    mu, c, n = 0.5, 0.5, 40
+    spec = {"mu": ["1/2"], "function": {"decay": "1/2", "terms": [{"k": [n], "q": 1}]}}
+    code, out = _run(capsys, ["transform", "--spec", _write_spec(tmp_path, spec), "--grid", "0.1:4:40"])
+    assert code == 0
+    y = np.linspace(0.1, 4.0, 40)
+    t = y * y / (4 * c)
+    want = y ** (mu + 0.5) * math.factorial(n) / (2 ** (mu + 1) * c ** (mu + n + 1)) * np.exp(-t) * _laguerre(n, mu, t)
+    got = np.array(json.loads(out)["values"])
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
+
+
 # ---------------------------------------------------------------------------
 # kernel
 
@@ -199,6 +224,16 @@ def test_verify_taylor_suite(capsys):
     assert lines and all(l.startswith("[PASS] taylor/") for l in lines)
     assert "value=" in lines[0] and "tolerance=" in lines[0]
     assert out.strip().endswith("verify: all checks passed")
+
+
+def test_verify_json_writes_only_the_report_on_stdout(capsys):
+    code = main(["verify", "taylor", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["passed"] is True and report["suites"][0]["suite"] == "taylor"
+    assert "[PASS] taylor/" in captured.err
+    assert captured.err.strip().endswith("verify: all checks passed")
 
 
 def test_verify_unknown_suite():
@@ -300,6 +335,20 @@ def test_pair_delta_transform_check(tmp_path, capsys):
     data = json.loads(out)
     tc = data["transform_check"]
     assert tc["difference"] <= 1e-5 * abs(tc["rhs"])
+
+
+@pytest.mark.parametrize("k", [50, 100])
+def test_pair_delta_transform_check_at_a_high_order(tmp_path, capsys, k):
+    # the pairing weight x^(mu+2k+1/2) moves the integrand's bulk out to
+    # x = sqrt(2k + 2): with the Gaussian's radius alone both routes read
+    # 1.19983 at k = 50 and 1.55e-5 at k = 100, agreeing with each other
+    path = _write_spec(tmp_path, GAUSS_1D)
+    code, out = _run(capsys, ["pair-delta", "--spec", path, "-k", str(k), "--transform-check"])
+    assert code == 0
+    data = json.loads(out)
+    tc = data["transform_check"]
+    for side in (tc["lhs"], tc["rhs"]):
+        assert side == pytest.approx(data["value"], rel=1e-12)
 
 
 def test_pair_delta_transform_check_rejects_window(tmp_path):

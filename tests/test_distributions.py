@@ -26,7 +26,6 @@ from hankelc import (
     WindowedHFunction,
     c_k_mu,
     c_mu,
-    default_rule_for,
     multiplier_check,
     orthant_pair,
     pair_delta,
@@ -269,10 +268,11 @@ def test_pair_delta_transform_zero_identity(k, mu, decay, terms):
 
 def _reference_pair_delta_transform(k, mu, phi):
     """The node-grid route: phi sampled on the full N^n node grid, the
-    ladder summed over the grid, rhs paired with the delta's transform."""
+    ladder summed over the grid, rhs paired with the delta's transform,
+    on the rule pair_delta_transform picks."""
     mu = MuVector(mu)
     k = MultiIndex(k)
-    rule = default_rule_for(float(phi.decay))
+    rule = distributions_module._member_rule(phi, [float(m) + 2 * ka + 0.5 for m, ka in zip(mu, k)])
     n = mu.dim
     rhs = orthant_pair(DeltaCombination(mu, {k: 1}).transform(), phi, rule)
     vals = sample_on_nodes(phi, [rule.nodes] * n)
